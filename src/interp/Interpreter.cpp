@@ -10,6 +10,8 @@
 #include <cstring>
 #include <set>
 
+#include <sys/mman.h>
+
 using namespace nir;
 namespace telemetry = noelle::telemetry;
 
@@ -1176,7 +1178,15 @@ ExecutionEngine::ExecutionEngine(Module &M, Options Opts)
     Offset += std::max<uint64_t>(G->getStoreSize(), 8);
   }
 
-  Heap.resize(Opts.HeapBytes);
+  if (Opts.HeapBytes) {
+    void *Arena = mmap(nullptr, Opts.HeapBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (Arena == MAP_FAILED) {
+      std::fprintf(stderr, "interpreter heap reservation failed\n");
+      std::abort();
+    }
+    HeapBase = static_cast<uint8_t *>(Arena);
+  }
 
   // Function id table for function-pointer encoding and the dense
   // decoded-function cache.
@@ -1193,7 +1203,10 @@ ExecutionEngine::ExecutionEngine(Module &M, Options Opts)
   installDefaultLibrary();
 }
 
-ExecutionEngine::~ExecutionEngine() = default;
+ExecutionEngine::~ExecutionEngine() {
+  if (HeapBase)
+    munmap(HeapBase, Opts.HeapBytes);
+}
 
 bool ExecutionEngine::hasThreadedDispatch() {
 #ifdef NOELLE_INTERP_HAVE_CGOTO
@@ -1210,14 +1223,14 @@ uint64_t ExecutionEngine::heapAlloc(uint64_t Bytes) {
   // whose own check passed against the already-bumped top.
   uint64_t Old = HeapTop.load(std::memory_order_relaxed);
   do {
-    if (Aligned < Bytes || Aligned > Heap.size() ||
-        Old > Heap.size() - Aligned) {
+    if (Aligned < Bytes || Aligned > Opts.HeapBytes ||
+        Old > Opts.HeapBytes - Aligned) {
       std::fprintf(stderr, "interpreter heap exhausted\n");
       std::abort();
     }
   } while (!HeapTop.compare_exchange_weak(Old, Old + Aligned,
                                           std::memory_order_relaxed));
-  return reinterpret_cast<uint64_t>(Heap.data()) + Old;
+  return reinterpret_cast<uint64_t>(HeapBase) + Old;
 }
 
 ThreadPool &ExecutionEngine::getThreadPool() {
@@ -1245,7 +1258,7 @@ bool ExecutionEngine::isValidAddress(uint64_t Addr, uint64_t Bytes) const {
   uint64_t GBase = reinterpret_cast<uint64_t>(GlobalStorage.data());
   if (Addr >= GBase && Addr + Bytes <= GBase + GlobalStorage.size())
     return true;
-  uint64_t HBase = reinterpret_cast<uint64_t>(Heap.data());
+  uint64_t HBase = reinterpret_cast<uint64_t>(HeapBase);
   if (Addr >= HBase && Addr + Bytes <= HBase + HeapTop.load())
     return true;
   return frameRegistry().contains(Addr, Bytes);

@@ -257,7 +257,11 @@ private:
   std::vector<uint8_t> GlobalStorage;
   std::unordered_map<const GlobalVariable *, uint64_t> GlobalAddr;
 
-  std::vector<uint8_t> Heap;
+  /// The malloc arena: one MAP_NORESERVE reservation of Opts.HeapBytes.
+  /// Pages commit on first touch and read as zero, so an engine costs
+  /// nothing in proportion to its arena until the program allocates.
+  /// Only [HeapBase, HeapBase + HeapTop) is valid memory.
+  uint8_t *HeapBase = nullptr;
   std::atomic<uint64_t> HeapTop{0};
 
   /// Externals are resolved to dense indices at decode time so the hot

@@ -4,6 +4,7 @@
 #include "ir/IDs.h"
 #include "ir/Instructions.h"
 
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -270,9 +271,17 @@ struct MemDepProfiler::Impl {
     uint64_t RId = 0, RT = 0; ///< last reader and its clock
   };
 
+  /// Shadow memory in pages of ByteState, one page per 4 KiB of address
+  /// space, allocated zeroed on first touch. Accesses cluster, so the
+  /// last page used is cached in front of the page map.
+  static constexpr unsigned PageBits = 12;
+  using ShadowPage = std::array<ByteState, size_t(1) << PageBits>;
+
   MemDepProfile Profile;
   std::vector<Frame> Stack;
-  std::unordered_map<uint64_t, ByteState> Shadow;
+  std::unordered_map<uint64_t, std::unique_ptr<ShadowPage>> Shadow;
+  uint64_t LastPageNo = ~uint64_t(0);
+  ShadowPage *LastPage = nullptr;
   uint64_t Now = 0; ///< memory-access clock (monotone)
 
   // Static module indexes, built once at construction.
@@ -400,11 +409,23 @@ struct MemDepProfiler::Impl {
     }
   }
 
+  ByteState &shadow(uint64_t Addr) {
+    const uint64_t PageNo = Addr >> PageBits;
+    if (PageNo != LastPageNo) {
+      std::unique_ptr<ShadowPage> &Page = Shadow[PageNo];
+      if (!Page)
+        Page = std::make_unique<ShadowPage>();
+      LastPageNo = PageNo;
+      LastPage = Page.get();
+    }
+    return (*LastPage)[Addr & ((uint64_t(1) << PageBits) - 1)];
+  }
+
   void onLoad(const Instruction *I, uint64_t Addr, unsigned Bytes) {
     ++Now;
     const uint64_t Id = I ? idOf(I) : 0;
     for (unsigned B = 0; B != Bytes; ++B) {
-      ByteState &S = Shadow[Addr + B];
+      ByteState &S = shadow(Addr + B);
       if (S.WT)
         recordCarried(S.WId, S.WT, Id, ManifestedDep::RAW);
       S.RId = Id;
@@ -416,7 +437,7 @@ struct MemDepProfiler::Impl {
     ++Now;
     const uint64_t Id = I ? idOf(I) : 0;
     for (unsigned B = 0; B != Bytes; ++B) {
-      ByteState &S = Shadow[Addr + B];
+      ByteState &S = shadow(Addr + B);
       if (S.RT)
         recordCarried(S.RId, S.RT, Id, ManifestedDep::WAR);
       if (S.WT)
@@ -431,10 +452,12 @@ MemDepProfiler::MemDepProfiler(Module &M) : P(std::make_unique<Impl>(M)) {}
 MemDepProfiler::~MemDepProfiler() = default;
 
 void MemDepProfiler::onBlockExecuted(const BasicBlock *BB) {
+  Profiler::onBlockExecuted(BB);
   P->onBlock(BB);
 }
-void MemDepProfiler::onCallExecuted(const nir::CallInst *,
+void MemDepProfiler::onCallExecuted(const nir::CallInst *Call,
                                     const Function *Callee) {
+  Profiler::onCallExecuted(Call, Callee);
   P->onCall(Callee);
 }
 void MemDepProfiler::onLoadExecuted(const Instruction *I, uint64_t Addr,
@@ -454,9 +477,6 @@ MemDepProfile noelle::profileMemDeps(Module &M) {
   if (nir::buildInstructionIndex(M).empty())
     nir::assignDeterministicIDs(M);
   MemDepProfiler Prof(M);
-  nir::ExecutionEngine Engine(M);
-  Engine.setObserver(&Prof);
-  Engine.runMain();
-  Engine.setObserver(nullptr);
+  Profiler::profileModule(M, Prof).embed(M);
   return Prof.takeProfile();
 }

@@ -31,6 +31,7 @@
 #include "analysis/LoopInfo.h"
 #include "interp/Interpreter.h"
 #include "ir/Module.h"
+#include "noelle/Profiler.h"
 
 #include <cstdint>
 #include <map>
@@ -149,12 +150,15 @@ private:
   uint64_t ModuleHash = 0;
 };
 
-/// The observer. Installs byte-granular shadow memory (last reader and
-/// writer with access timestamps) and a dynamic loop-activation stack
-/// maintained from block events, so each access can be tested against
-/// the iteration windows of every active loop. Single-threaded by
-/// design: profiling runs happen before parallelization.
-class MemDepProfiler : public nir::ExecutionObserver {
+/// The observer. A Profiler whose block, branch and call events also
+/// feed the block profile through the base class, so one observed run
+/// yields both profiles. On top, it installs byte-granular shadow memory
+/// (last reader and writer with access timestamps) and a dynamic
+/// loop-activation stack maintained from block events, so each access
+/// can be tested against the iteration windows of every active loop.
+/// Single-threaded by design: profiling runs happen before
+/// parallelization.
+class MemDepProfiler : public Profiler {
 public:
   /// \p M must carry deterministic instruction IDs (ir/IDs.h).
   explicit MemDepProfiler(nir::Module &M);
@@ -175,9 +179,12 @@ private:
   std::unique_ptr<Impl> P;
 };
 
-/// Runs @main of \p M under the observer and returns the profile.
-/// Assigns deterministic IDs first when the module carries none (the
-/// same assignment captureForCheck/pdgEmbed would produce).
+/// Runs @main of \p M under the observer and returns the profile. The
+/// block/branch/call profile of the same run is embedded into \p M,
+/// bound to its content hash, so Noelle::getProfiles loads it instead
+/// of running @main again. Assigns deterministic IDs first when the
+/// module carries none (the same assignment captureForCheck/pdgEmbed
+/// would produce).
 MemDepProfile profileMemDeps(nir::Module &M);
 
 } // namespace noelle

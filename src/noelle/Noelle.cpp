@@ -133,7 +133,7 @@ ProfileData *Noelle::getProfiles(bool CollectIfMissing) {
   Requested.insert(Abstraction::PRO);
   if (!ProfilesLoaded) {
     ProfilesLoaded = true;
-    if (ProfileData::isEmbedded(M))
+    if (ProfileData::isCurrent(M))
       Profiles = std::make_unique<ProfileData>(ProfileData::fromMetadata(M));
   }
   if (!Profiles && CollectIfMissing)

@@ -100,9 +100,10 @@ public:
   /// The data-flow engine (Table 1: DFE).
   DataFlowEngine &getDataFlowEngine();
 
-  /// Embedded or freshly collected profiles (Table 1: PRO). Returns null
-  /// if the module has no embedded profile and \p CollectIfMissing is
-  /// false.
+  /// Embedded or freshly collected profiles (Table 1: PRO). An embedded
+  /// profile loads only while it is bound to the module's current content
+  /// hash; a stale one is ignored. Returns null if there is no current
+  /// embedded profile and \p CollectIfMissing is false.
   ProfileData *getProfiles(bool CollectIfMissing = false);
 
   /// Architecture description (Table 1: AR).

@@ -44,8 +44,12 @@ ProfileData Profiler::takeData() {
 }
 
 ProfileData Profiler::profileModule(Module &M) {
-  nir::ExecutionEngine Engine(M);
   Profiler P;
+  return profileModule(M, P);
+}
+
+ProfileData Profiler::profileModule(Module &M, Profiler &P) {
+  nir::ExecutionEngine Engine(M);
   Engine.setObserver(&P);
   Engine.runMain();
   Engine.setObserver(nullptr);
@@ -140,6 +144,7 @@ constexpr const char *BlockCountKey = "noelle.prof.bb";
 constexpr const char *BranchCountKey = "noelle.prof.taken";
 constexpr const char *FnCountKey = "noelle.prof.calls";
 constexpr const char *TotalKey = "noelle.prof.total";
+constexpr const char *HashKey = "noelle.prof.hash";
 } // namespace
 
 void ProfileData::embed(Module &M) const {
@@ -166,6 +171,7 @@ void ProfileData::embed(Module &M) const {
     }
   }
   M.setModuleMetadata(TotalKey, std::to_string(TotalInstructions));
+  M.setModuleMetadata(HashKey, std::to_string(M.getContentHash()));
 }
 
 ProfileData ProfileData::fromMetadata(Module &M) {
@@ -198,6 +204,7 @@ ProfileData ProfileData::fromMetadata(Module &M) {
 
 void ProfileData::clean(Module &M) {
   M.removeModuleMetadata(TotalKey);
+  M.removeModuleMetadata(HashKey);
   for (const auto &F : M.getFunctions()) {
     F->removeMetadata(FnCountKey);
     for (const auto &BB : F->getBlocks())
@@ -210,4 +217,9 @@ void ProfileData::clean(Module &M) {
 
 bool ProfileData::isEmbedded(const Module &M) {
   return M.hasModuleMetadata(TotalKey);
+}
+
+bool ProfileData::isCurrent(const Module &M) {
+  return isEmbedded(M) &&
+         M.getModuleMetadata(HashKey) == std::to_string(M.getContentHash());
 }

@@ -54,7 +54,8 @@ public:
   /// Average iterations per invocation (0 when never invoked).
   double getLoopAverageIterations(const nir::LoopStructure &L) const;
 
-  /// Writes the profile into IR metadata so it survives print/parse.
+  /// Writes the profile into IR metadata so it survives print/parse,
+  /// bound to \p M's content hash.
   void embed(Module &M) const;
 
   /// Reconstructs a profile previously embedded in \p M's metadata.
@@ -65,6 +66,12 @@ public:
 
   /// True if \p M carries an embedded profile.
   static bool isEmbedded(const Module &M);
+
+  /// True if \p M carries an embedded profile bound to its current
+  /// content hash, i.e. collected on identical code. The hash ignores
+  /// metadata, so embedding and printing keep the binding; any code
+  /// edit breaks it.
+  static bool isCurrent(const Module &M);
 
 private:
   friend class Profiler;
@@ -86,6 +93,10 @@ public:
 
   /// Runs @main of \p M under profiling and returns the collected data.
   static ProfileData profileModule(Module &M);
+
+  /// As above, observing with \p P: a fresh Profiler, or a subclass that
+  /// records more in the same run (MemDepProfiler).
+  static ProfileData profileModule(Module &M, Profiler &P);
 
   ProfileData takeData();
 

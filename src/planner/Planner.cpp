@@ -80,14 +80,10 @@ Planner::makeTechnique(TechniqueKind K) {
 ProfileData *Planner::getProfiles() {
   if (!Opts.UseProfiles)
     return nullptr;
-  if (ProfileData *P = N.getProfiles(false))
-    return P;
   // Collecting a profile runs @main; modules without one (library
   // fragments, single-kernel test modules) plan from static defaults.
   nir::Function *Main = N.getModule().getFunction("main");
-  if (Main && !Main->isDeclaration())
-    return N.getProfiles(true);
-  return nullptr;
+  return N.getProfiles(Main && !Main->isDeclaration());
 }
 
 ProgramPlan Planner::plan() {

@@ -37,9 +37,10 @@ struct PlannerOptions {
   /// Loops cooler than this fraction of total executed instructions are
   /// not planned (0 = plan everything the profile has seen run).
   double MinimumHotness = 0.0;
-  /// Use embedded profiles — collecting them by running @main when the
-  /// module has one and carries none. When false, the cost model falls
-  /// back to its static defaults for every loop.
+  /// Use the embedded profile bound to the module's current content
+  /// hash — collecting one by running @main when the module has one and
+  /// carries none. When false, the cost model falls back to its static
+  /// defaults for every loop.
   bool UseProfiles = true;
   /// Consider DOALL on loops nested inside a planned DSWP stage.
   bool EnableNested = true;

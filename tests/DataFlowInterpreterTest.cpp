@@ -11,9 +11,12 @@
 #include "ir/Parser.h"
 #include "noelle/Architecture.h"
 #include "noelle/DataFlow.h"
+#include "noelle/Noelle.h"
 #include "noelle/Profiler.h"
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 using namespace noelle;
 using nir::Context;
@@ -158,6 +161,36 @@ TEST(ProfilerTest, CountsMatchExecution) {
   EXPECT_GT(P.getFunctionHotness(*Work), P.getLoopHotness(*L) - 0.01);
 }
 
+/// The trip count is the global n, so editing n's initializer changes
+/// both the content hash and the profile.
+const char *TripSrc = R"(
+  int n;
+  int main() {
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) s = s + i;
+    return s;
+  }
+)";
+
+TEST(ProfilerTest, StaleEmbeddedProfileIsIgnored) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, TripSrc);
+  M->getGlobal("n")->setInitWords({10});
+  const ProfileData Old = Profiler::profileModule(*M);
+  Old.embed(*M);
+
+  M->getGlobal("n")->setInitWords({20});
+  EXPECT_TRUE(ProfileData::isEmbedded(*M));
+  EXPECT_FALSE(ProfileData::isCurrent(*M));
+  Noelle N(*M);
+  EXPECT_EQ(N.getProfiles(false), nullptr);
+  ProfileData *Fresh = N.getProfiles(true);
+  ASSERT_NE(Fresh, nullptr);
+  EXPECT_EQ(Fresh->getTotalInstructions(),
+            Profiler::profileModule(*M).getTotalInstructions());
+  EXPECT_GT(Fresh->getTotalInstructions(), Old.getTotalInstructions());
+}
+
 //===----------------------------------------------------------------------===//
 // Architecture
 //===----------------------------------------------------------------------===//
@@ -219,6 +252,58 @@ TEST(InterpreterTest, HeapValidityMap) {
   uint64_t P = E.heapAlloc(16);
   EXPECT_TRUE(E.isValidAddress(P, 16));
   EXPECT_FALSE(E.isValidAddress(0x10, 8));
+  // The reservation past the bump pointer is mapped (readable) but is
+  // not memory the program owns.
+  EXPECT_EQ(*reinterpret_cast<volatile const uint8_t *>(P + 4096), 0);
+  EXPECT_FALSE(E.isValidAddress(P + 16, 8));
+  EXPECT_FALSE(E.isValidAddress(P + 4096, 8));
+}
+
+long maxRssKiB() {
+  struct rusage U {};
+  getrusage(RUSAGE_SELF, &U);
+  return U.ru_maxrss;
+}
+
+TEST(InterpreterTest, HeapReservationCommitsNothingUpFront) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, "int main() { return 0; }");
+  ExecutionEngine::Options Opts;
+  Opts.HeapBytes = 1ull << 30;
+  const long Before = maxRssKiB();
+  ExecutionEngine E(*M, Opts);
+  EXPECT_EQ(E.runMain(), 0);
+  EXPECT_LT(maxRssKiB() - Before, 16 * 1024);
+}
+
+TEST(InterpreterTest, FreshHeapBlocksReadZero) {
+  const char *Src = R"(
+    int main() {
+      int *p = malloc(80000);
+      int s = 0;
+      for (int i = 0; i < 10000; i = i + 1) s = s + p[i];
+      return s;
+    }
+  )";
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, Src);
+  ExecutionEngine E(*M);
+  EXPECT_EQ(E.runMain(), 0);
+}
+
+TEST(InterpreterTest, HeapExhaustionTraps) {
+  const char *Src = R"(
+    int main() {
+      int *p = malloc(100000);
+      return p[0];
+    }
+  )";
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, Src);
+  ExecutionEngine::Options Opts;
+  Opts.HeapBytes = 64 << 10;
+  ExecutionEngine E(*M, Opts);
+  EXPECT_DEATH(E.runMain(), "interpreter heap exhausted");
 }
 
 TEST(InterpreterTest, InstructionBudgetGuard) {

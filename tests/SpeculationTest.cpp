@@ -151,6 +151,52 @@ TEST(MemDepProfilerTest, EmbeddedProfileBindsToContentHash) {
       << Err;
 }
 
+/// profileMemDeps embeds the block profile of its own run: on every
+/// suite kernel it equals a separate Profiler run, and planning after it
+/// observes @main no second time.
+TEST(MemDepProfilerTest, OneRunEmbedsTheBlockProfile) {
+  telemetry::setMode(telemetry::Mode::Metrics);
+  auto ObservedRuns = [] {
+    return telemetry::snapshotMetrics().counter(
+        telemetry::Counter::TierObserved);
+  };
+  for (const bench::Benchmark &B : bench::getBenchmarkSuite()) {
+    SCOPED_TRACE(B.Name);
+    Context Ctx;
+    auto M = minic::compileMiniCOrDie(Ctx, B.Source);
+    const uint64_t Before = ObservedRuns();
+    profileMemDeps(*M).embed(*M);
+    Noelle N(*M);
+    planner::PlannerOptions PO;
+    PO.EnableSpeculation = true;
+    planner::Planner(N, PO).plan();
+    EXPECT_EQ(ObservedRuns() - Before, 1u);
+
+    ASSERT_TRUE(ProfileData::isCurrent(*M));
+    const ProfileData Embedded = ProfileData::fromMetadata(*M);
+    const ProfileData Fresh = Profiler::profileModule(*M);
+    EXPECT_EQ(Embedded.getTotalInstructions(), Fresh.getTotalInstructions());
+    for (const auto &F : M->getFunctions()) {
+      EXPECT_EQ(Embedded.getFunctionInvocations(F.get()),
+                Fresh.getFunctionInvocations(F.get()))
+          << F->getName();
+      for (const auto &BB : F->getBlocks()) {
+        EXPECT_EQ(Embedded.getBlockCount(BB.get()),
+                  Fresh.getBlockCount(BB.get()));
+        const auto *Br =
+            nir::dyn_cast_or_null<nir::BranchInst>(BB->getTerminator());
+        if (!Br || !Br->isConditional())
+          continue;
+        for (unsigned S = 0; S < 2; ++S) {
+          EXPECT_EQ(Embedded.getBranchTakenCount(Br, S),
+                    Fresh.getBranchTakenCount(Br, S));
+        }
+      }
+    }
+  }
+  telemetry::setMode(telemetry::Mode::Off);
+}
+
 // ---------------------------------------------------------------------------
 // SpecDOALL end to end: commit path and seeded misspeculation.
 // ---------------------------------------------------------------------------

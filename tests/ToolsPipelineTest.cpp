@@ -48,13 +48,23 @@ TEST(ToolsTest, ProfileEmbedRoundTrip) {
   ASSERT_NE(M, nullptr) << Error;
   auto P = tools::profCoverage(*M);
   EXPECT_GT(P.getTotalInstructions(), 0u);
+  const uint64_t Hash = M->getContentHash();
   tools::metaProfEmbed(*M, P);
+  // Embedding is metadata, so it leaves the content hash it binds to
+  // unchanged.
+  EXPECT_EQ(M->getContentHash(), Hash);
 
-  // Print + reparse: the profile must survive.
+  // Print + reparse: the profile must survive, still bound to the code.
   auto M2 = nir::parseModuleOrDie(Ctx, M->str());
+  EXPECT_EQ(M2->getContentHash(), Hash);
   EXPECT_TRUE(ProfileData::isEmbedded(*M2));
+  EXPECT_TRUE(ProfileData::isCurrent(*M2));
   auto P2 = ProfileData::fromMetadata(*M2);
   EXPECT_EQ(P2.getTotalInstructions(), P.getTotalInstructions());
+  Noelle N(*M2);
+  ProfileData *Loaded = N.getProfiles(false);
+  ASSERT_NE(Loaded, nullptr);
+  EXPECT_EQ(Loaded->getTotalInstructions(), P.getTotalInstructions());
 }
 
 TEST(ToolsTest, PDGEmbedAndReconstruct) {

@@ -69,11 +69,10 @@ int main() {
   auto Profile2 = tools::profCoverage(*M);
   tools::metaProfEmbed(*M, Profile2);
 
-  std::printf("[5] noelle-pdg-embed: whole-program PDG -> module cache\n");
+  std::printf("[5] noelle-meta-pdg-embed: whole-program PDG -> module cache\n");
   uint64_t Edges = tools::pdgEmbed(*M);
-  std::printf("    embedded %llu dependence edges (%s)\n",
-              static_cast<unsigned long long>(Edges),
-              tools::hasPDGMetadata(*M) ? "cache present" : "missing?");
+  std::printf("    embedded %llu dependence edges\n",
+              static_cast<unsigned long long>(Edges));
 
   std::printf("[6] serialize -> reparse: the IR file between tool runs\n");
   std::string Text = M->str();

@@ -1,6 +1,7 @@
 #include "analysis/LoopInfo.h"
 
 #include "analysis/CFG.h"
+#include "ir/IDs.h"
 
 #include <algorithm>
 #include <functional>
@@ -20,6 +21,12 @@ std::vector<Instruction *> LoopStructure::getInstructions() const {
     for (const auto &I : BB->getInstList())
       Out.push_back(I.get());
   return Out;
+}
+
+std::optional<uint64_t> LoopStructure::getHeaderID() const {
+  if (Header->getInstList().empty())
+    return std::nullopt;
+  return instIDOf(Header->getInstList().front().get());
 }
 
 bool LoopStructure::isDoWhileForm() const {

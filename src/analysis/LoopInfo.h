@@ -15,6 +15,7 @@
 #include "ir/Function.h"
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -75,6 +76,11 @@ public:
 
   /// A stable identifier within the function (preorder index).
   unsigned getID() const { return ID; }
+
+  /// The deterministic ID (ir/IDs.h) of the header's first instruction:
+  /// the loop identity plans, profiles and task provenance share.
+  /// Nullopt when the module carries no IDs.
+  std::optional<uint64_t> getHeaderID() const;
 
 private:
   friend class LoopInfo;

@@ -27,14 +27,24 @@ void nir::clearDeterministicIDs(Module &M) {
   }
 }
 
-std::map<uint64_t, Instruction *> nir::buildInstructionIndex(Module &M) {
-  std::map<uint64_t, Instruction *> Index;
+std::optional<uint64_t> nir::instIDOf(const Value *V) {
+  std::string S = V->getMetadata(InstIDKey);
+  if (S.empty())
+    return std::nullopt;
+  uint64_t N = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return std::nullopt;
+    N = N * 10 + static_cast<uint64_t>(C - '0');
+  }
+  return N;
+}
+
+bool nir::hasDeterministicIDs(const Module &M) {
   for (const auto &F : M.getFunctions())
     for (const auto &BB : F->getBlocks())
-      for (const auto &I : BB->getInstList()) {
-        std::string ID = I->getMetadata(InstIDKey);
-        if (!ID.empty())
-          Index[std::stoull(ID)] = I.get();
-      }
-  return Index;
+      for (const auto &I : BB->getInstList())
+        if (I->hasMetadata(InstIDKey))
+          return true;
+  return false;
 }

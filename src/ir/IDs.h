@@ -3,8 +3,8 @@
 /// \file
 /// Deterministic IDs for instructions, basic blocks, and functions —
 /// NOELLE's "IDs" abstraction. IDs are stored as metadata so they survive
-/// printing, parsing, and linking, letting tools (noelle-meta-pdg-embed)
-/// reference instructions across pipeline stages.
+/// printing, parsing, and linking, letting every artifact (ir/Artifact.h)
+/// and every plan reference instructions across pipeline stages.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,7 @@
 #include "ir/Module.h"
 
 #include <cstdint>
-#include <map>
+#include <optional>
 
 namespace nir {
 
@@ -30,9 +30,11 @@ void assignDeterministicIDs(Module &M);
 /// Removes all deterministic IDs from \p M.
 void clearDeterministicIDs(Module &M);
 
-/// Index from instruction ID to instruction for a module whose IDs were
-/// previously assigned. Instructions without IDs are skipped.
-std::map<uint64_t, Instruction *> buildInstructionIndex(Module &M);
+/// The deterministic ID \p V carries, or nullopt when it has none.
+std::optional<uint64_t> instIDOf(const Value *V);
+
+/// True if any instruction of \p M carries a deterministic ID.
+bool hasDeterministicIDs(const Module &M);
 
 } // namespace nir
 

@@ -1,13 +1,13 @@
 #include "noelle/MemDepProfiler.h"
 
 #include "analysis/Dominators.h"
+#include "ir/Artifact.h"
 #include "ir/IDs.h"
 #include "ir/Instructions.h"
 
 #include <array>
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 
 using namespace noelle;
 using nir::BasicBlock;
@@ -45,23 +45,11 @@ bool kindFromName(const std::string &S, ManifestedDep::Kind &K) {
   return true;
 }
 
-/// Splits "key=value"; returns false on malformed tokens.
-bool splitKV(const std::string &Tok, std::string &Key, std::string &Val) {
-  size_t Eq = Tok.find('=');
-  if (Eq == std::string::npos || Eq == 0)
-    return false;
-  Key = Tok.substr(0, Eq);
-  Val = Tok.substr(Eq + 1);
-  return true;
-}
-
 } // namespace
 
-std::string MemDepProfile::serialize() const {
-  std::string Out = "memdep v1\n";
+std::string MemDepProfile::payload() const {
+  std::string Out;
   char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "hash %016" PRIx64 "\n", ModuleHash);
-  Out += Buf;
   for (const auto &[Header, S] : Loops) {
     std::snprintf(Buf, sizeof(Buf),
                   "loop header=%" PRIu64 " invocations=%" PRIu64
@@ -79,172 +67,89 @@ std::string MemDepProfile::serialize() const {
   return Out;
 }
 
-bool MemDepProfile::deserialize(const std::string &Text, MemDepProfile &Out,
-                                std::string &Err) {
+std::string MemDepProfile::serialize() const {
+  return nir::formatArtifact(nir::ArtifactKind::MemDep, ModuleHash,
+                             payload());
+}
+
+bool MemDepProfile::decode(const nir::Artifact &A, MemDepProfile &Out,
+                           std::string &Err) {
   Out = MemDepProfile();
-  std::istringstream In(Text);
-  std::string Line;
-  unsigned LineNo = 0;
-  bool SawHeader = false, SawHash = false;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    std::istringstream LS(Line);
-    std::string Word;
-    LS >> Word;
-    if (Word == "memdep") {
-      std::string Version;
-      LS >> Version;
-      if (Version != "v1") {
-        Err = "line " + std::to_string(LineNo) +
-              ": unsupported memdep version '" + Version + "'";
-        return false;
-      }
-      SawHeader = true;
-      continue;
-    }
-    if (Word == "hash") {
-      std::string Hex;
-      LS >> Hex;
-      uint64_t H = 0;
-      if (Hex.empty() || std::sscanf(Hex.c_str(), "%" SCNx64, &H) != 1) {
-        Err = "line " + std::to_string(LineNo) + ": malformed hash";
-        return false;
-      }
-      Out.ModuleHash = H;
-      SawHash = true;
-      continue;
-    }
+  Out.ModuleHash = A.Hash;
+  auto Line = [&Out](const std::string &Word, const nir::ArtifactFields &Fs,
+                     std::string &Why) {
     if (Word != "loop" && Word != "dep") {
-      Err = "line " + std::to_string(LineNo) + ": unknown record '" + Word +
-            "'";
+      Why = "unknown record '" + Word + "'";
       return false;
     }
-    uint64_t Header = 0, Src = 0, Dst = 0, Invocations = 0, Iterations = 0;
-    ManifestedDep::Kind K = ManifestedDep::RAW;
+    ManifestedDep D;
+    uint64_t Invocations = 0, Iterations = 0;
     bool SawHdr = false, SawSrc = false, SawDst = false, SawKind = false;
-    std::string Tok;
-    while (LS >> Tok) {
-      std::string Key, Val;
-      if (!splitKV(Tok, Key, Val)) {
-        Err = "line " + std::to_string(LineNo) + ": malformed token '" +
-              Tok + "'";
-        return false;
-      }
-      try {
-        if (Key == "header") {
-          Header = std::stoull(Val);
-          SawHdr = true;
-        } else if (Key == "invocations") {
-          Invocations = std::stoull(Val);
-        } else if (Key == "iterations") {
-          Iterations = std::stoull(Val);
-        } else if (Key == "src") {
-          Src = std::stoull(Val);
-          SawSrc = true;
-        } else if (Key == "dst") {
-          Dst = std::stoull(Val);
-          SawDst = true;
-        } else if (Key == "kind") {
-          if (!kindFromName(Val, K)) {
-            Err = "line " + std::to_string(LineNo) + ": unknown dep kind '" +
-                  Val + "'";
-            return false;
-          }
-          SawKind = true;
-        } else {
-          Err = "line " + std::to_string(LineNo) + ": unknown key '" + Key +
-                "'";
+    for (const auto &[Key, Val] : Fs) {
+      if (Key == "header") {
+        D.HeaderID = std::stoull(Val);
+        SawHdr = true;
+      } else if (Key == "invocations") {
+        Invocations = std::stoull(Val);
+      } else if (Key == "iterations") {
+        Iterations = std::stoull(Val);
+      } else if (Key == "src") {
+        D.SrcID = std::stoull(Val);
+        SawSrc = true;
+      } else if (Key == "dst") {
+        D.DstID = std::stoull(Val);
+        SawDst = true;
+      } else if (Key == "kind") {
+        if (!kindFromName(Val, D.K)) {
+          Why = "unknown dep kind '" + Val + "'";
           return false;
         }
-      } catch (const std::exception &) {
-        Err = "line " + std::to_string(LineNo) + ": bad number in '" + Tok +
-              "'";
+        SawKind = true;
+      } else {
+        Why = "unknown key '" + Key + "'";
         return false;
       }
     }
     if (!SawHdr) {
-      Err = "line " + std::to_string(LineNo) + ": record missing header=";
+      Why = "record missing header=";
       return false;
     }
     if (Word == "loop") {
-      Out.Loops[Header].Invocations += Invocations;
-      Out.Loops[Header].Iterations += Iterations;
-    } else {
-      if (!SawSrc || !SawDst || !SawKind) {
-        Err = "line " + std::to_string(LineNo) +
-              ": dep record missing src/dst/kind";
-        return false;
-      }
-      ManifestedDep D;
-      D.HeaderID = Header;
-      D.SrcID = Src;
-      D.DstID = Dst;
-      D.K = K;
-      Out.recordDep(D);
+      Out.Loops[D.HeaderID].Invocations += Invocations;
+      Out.Loops[D.HeaderID].Iterations += Iterations;
+      return true;
     }
-  }
-  if (!SawHeader) {
-    Err = "missing 'memdep v1' header";
-    return false;
-  }
-  if (!SawHash) {
-    Err = "missing 'hash' record";
-    return false;
-  }
-  return true;
+    if (!SawSrc || !SawDst || !SawKind) {
+      Why = "dep record missing src/dst/kind";
+      return false;
+    }
+    Out.recordDep(D);
+    return true;
+  };
+  return nir::forEachArtifactLine(A.Payload, Line, Err);
+}
+
+bool MemDepProfile::deserialize(const std::string &Text, MemDepProfile &Out,
+                                std::string &Err) {
+  nir::Artifact A;
+  return nir::parseArtifact(nir::ArtifactKind::MemDep, Text, A, Err) &&
+         decode(A, Out, Err);
 }
 
 void MemDepProfile::embed(nir::Module &M) {
-  ModuleHash = M.getContentHash();
-  M.setModuleMetadata(MemDepEmbedKey, serialize());
+  ModuleHash = nir::embedArtifact(M, nir::ArtifactKind::MemDep, payload());
 }
 
-bool MemDepProfile::fromModule(nir::Module &M, MemDepProfile &Out,
-                               std::string &Err, bool RequireHashMatch) {
-  if (!M.hasModuleMetadata(MemDepEmbedKey)) {
-    Err = "module carries no embedded memory-dependence profile";
-    return false;
-  }
-  if (!deserialize(M.getModuleMetadata(MemDepEmbedKey), Out, Err))
-    return false;
-  if (RequireHashMatch && Out.ModuleHash != M.getContentHash()) {
-    Err = "embedded memory-dependence profile is bound to a different "
-          "module (content hash mismatch)";
-    return false;
-  }
-  return true;
-}
-
-void MemDepProfile::clean(nir::Module &M) {
-  M.removeModuleMetadata(MemDepEmbedKey);
-}
-
-bool MemDepProfile::isEmbedded(const nir::Module &M) {
-  return M.hasModuleMetadata(MemDepEmbedKey);
+bool MemDepProfile::fromModule(const nir::Module &M, MemDepProfile &Out,
+                               std::string &Err) {
+  nir::Artifact A;
+  return nir::readCurrentArtifact(M, nir::ArtifactKind::MemDep, A, Err) &&
+         decode(A, Out, Err);
 }
 
 //===----------------------------------------------------------------------===//
 // Observer
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-uint64_t instIdOf(const Instruction *I) {
-  std::string S = I->getMetadata(nir::InstIDKey);
-  if (S.empty())
-    return 0;
-  uint64_t N = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return 0;
-    N = N * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return N;
-}
-
-} // namespace
 
 struct MemDepProfiler::Impl {
   /// One natural loop of the profiled module.
@@ -305,9 +210,7 @@ struct MemDepProfiler::Impl {
         auto Rec = std::make_unique<LoopRec>();
         Rec->L = L;
         Rec->F = F;
-        if (!L->getHeader()->getInstList().empty())
-          Rec->HeaderID =
-              instIdOf(L->getHeader()->getInstList().front().get());
+        Rec->HeaderID = L->getHeaderID().value_or(0);
         HeaderOf[L->getHeader()] = Rec.get();
         LoopStorage.push_back(std::move(Rec));
       }
@@ -320,7 +223,7 @@ struct MemDepProfiler::Impl {
     auto It = IdCache.find(I);
     if (It != IdCache.end())
       return It->second;
-    uint64_t Id = instIdOf(I);
+    uint64_t Id = nir::instIDOf(I).value_or(0);
     IdCache.emplace(I, Id);
     return Id;
   }
@@ -474,7 +377,7 @@ MemDepProfile MemDepProfiler::takeProfile() {
 }
 
 MemDepProfile noelle::profileMemDeps(Module &M) {
-  if (nir::buildInstructionIndex(M).empty())
+  if (!nir::hasDeterministicIDs(M))
     nir::assignDeterministicIDs(M);
   MemDepProfiler Prof(M);
   Profiler::profileModule(M, Prof).embed(M);

@@ -12,11 +12,11 @@
 /// DOALL: a PDG loop-carried memory edge whose endpoint pair was never
 /// observed to manifest for the loop may be speculated away, with the
 /// runtime write-log/commit protocol (runtime/ParallelRuntime.h) as the
-/// safety net. Profiles are serialized as content-hash-keyed module
-/// metadata (noelle.memdep.v1) alongside the embedded PDG, so they
-/// survive the cache and travel with the module text.
+/// safety net. Profiles travel with the module text as its memdep
+/// artifact (ir/Artifact.h), next to the embedded PDG.
 ///
-/// Wire format (deterministic; round trips byte-identically):
+/// Wire format (the artifact record; deterministic, so it round trips
+/// byte-identically):
 ///
 ///   memdep v1
 ///   hash <16 hex digits>
@@ -30,6 +30,7 @@
 
 #include "analysis/LoopInfo.h"
 #include "interp/Interpreter.h"
+#include "ir/Artifact.h"
 #include "ir/Module.h"
 #include "noelle/Profiler.h"
 
@@ -41,9 +42,6 @@
 #include <vector>
 
 namespace noelle {
-
-/// Module metadata key the profile is embedded under.
-inline constexpr const char *MemDepEmbedKey = "noelle.memdep.v1";
 
 /// A manifested loop-carried memory dependence: during one invocation of
 /// the loop identified by \p HeaderID, the access \p DstID touched a
@@ -100,30 +98,24 @@ public:
   /// Hash of the module the profile is bound to (0 = unbound).
   uint64_t moduleHash() const { return ModuleHash; }
 
+  /// The artifact record text, bound to moduleHash().
   std::string serialize() const;
   static bool deserialize(const std::string &Text, MemDepProfile &Out,
                           std::string &Err);
 
-  /// Stores the profile as module metadata, stamped with \p M's content
-  /// hash. The hash is metadata-agnostic, so embedding neither
+  /// Stores the profile as \p M's memdep artifact, stamped with \p M's
+  /// content hash. The hash is metadata-agnostic, so embedding neither
   /// invalidates the PDG cache nor the profile's own binding. Profiles
   /// are keyed by instruction IDs, so a profile collected on one module
   /// may be embedded into any module with identical structure (equal
   /// content hash modulo metadata — e.g. a re-parsed copy).
   void embed(nir::Module &M);
 
-  /// Loads an embedded profile; fails when absent, malformed, or (with
-  /// \p RequireHashMatch) bound to a different content hash. Pass false
-  /// only when an outer protocol already pins staleness — the planner's
-  /// apply path does: the plan's own hash was checked against the
-  /// pristine module, and entries applied earlier in the same plan
-  /// legitimately change the hash before a speculative entry loads the
-  /// profile.
-  static bool fromModule(nir::Module &M, MemDepProfile &Out,
-                         std::string &Err, bool RequireHashMatch = true);
-
-  static void clean(nir::Module &M);
-  static bool isEmbedded(const nir::Module &M);
+  /// Loads \p M's memdep artifact; fails when it is absent, stale
+  /// (bound to other code) or unreadable. Noelle::getMemDepProfile is
+  /// the cached form transforms use.
+  static bool fromModule(const nir::Module &M, MemDepProfile &Out,
+                         std::string &Err);
 
   void recordLoopEntry(uint64_t HeaderID) { ++Loops[HeaderID].Invocations; }
   void recordLoopIteration(uint64_t HeaderID) {
@@ -135,6 +127,10 @@ public:
   }
 
 private:
+  std::string payload() const;
+  static bool decode(const nir::Artifact &A, MemDepProfile &Out,
+                     std::string &Err);
+
   static std::tuple<uint64_t, uint64_t, uint64_t>
   key(uint64_t H, uint64_t A, uint64_t B) {
     return A <= B ? std::make_tuple(H, A, B) : std::make_tuple(H, B, A);

@@ -1,5 +1,6 @@
 #include "noelle/Noelle.h"
 
+#include "noelle/MemDepProfiler.h"
 #include "planner/Planner.h"
 
 using namespace noelle;
@@ -133,12 +134,22 @@ ProfileData *Noelle::getProfiles(bool CollectIfMissing) {
   Requested.insert(Abstraction::PRO);
   if (!ProfilesLoaded) {
     ProfilesLoaded = true;
-    if (ProfileData::isCurrent(M))
-      Profiles = std::make_unique<ProfileData>(ProfileData::fromMetadata(M));
+    Profiles = ProfileData::loadEmbedded(M);
   }
   if (!Profiles && CollectIfMissing)
     Profiles = std::make_unique<ProfileData>(Profiler::profileModule(M));
   return Profiles.get();
+}
+
+const MemDepProfile *Noelle::getMemDepProfile() {
+  if (!MemDepLoaded) {
+    MemDepLoaded = true;
+    auto P = std::make_unique<MemDepProfile>();
+    std::string Err;
+    if (MemDepProfile::fromModule(M, *P, Err))
+      MemDep = std::move(P);
+  }
+  return MemDep.get();
 }
 
 Architecture &Noelle::getArchitecture() {

@@ -34,6 +34,8 @@
 
 namespace noelle {
 
+class MemDepProfile;
+
 namespace planner {
 class Planner;
 }
@@ -106,6 +108,13 @@ public:
   /// embedded profile and \p CollectIfMissing is false.
   ProfileData *getProfiles(bool CollectIfMissing = false);
 
+  /// The module's memory-dependence profile (MemDepProfile::fromModule),
+  /// or null when it carries no current one. Read on the first call and
+  /// kept across invalidate(): the profile is keyed by instruction IDs,
+  /// which transforms preserve, so ask before the first transform
+  /// changes the module's content hash.
+  const MemDepProfile *getMemDepProfile();
+
   /// Architecture description (Table 1: AR).
   Architecture &getArchitecture();
 
@@ -167,6 +176,8 @@ private:
   DataFlowEngine DFE;
   std::unique_ptr<ProfileData> Profiles;
   bool ProfilesLoaded = false;
+  std::unique_ptr<MemDepProfile> MemDep;
+  bool MemDepLoaded = false;
   std::unique_ptr<Architecture> Arch;
   std::unique_ptr<LoopBuilder> LB;
   std::unique_ptr<planner::Planner> ThePlanner;

@@ -2,13 +2,13 @@
 
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
+#include "ir/Artifact.h"
 #include "ir/IDs.h"
 #include "ir/Instructions.h"
 #include "runtime/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 using namespace noelle;
@@ -557,31 +557,32 @@ std::unique_ptr<PDG> PDGBuilder::getLoopDG(LoopStructure &L) {
 // Embedding: the PDG as IR metadata
 //===----------------------------------------------------------------------===//
 
-// Edge wire format (module-level metadata, PDGEmbedEdgesKey):
-//   <fromID>:<toID>:<bits>[:<distance>] ';' ...
-// where bits packs the edge attributes: bit0 control, bit1 memory,
-// bit2 loop-carried, bit3 must, bits 4-5 the DataDepKind. The distance
-// field is present only when known (!= -1). IDs are the deterministic
-// instruction IDs of src/ir/IDs.*, reassigned at embed time; the module
-// body's content hash (PDGEmbedHashKey) keys the whole cache.
+// Payload of the pdg artifact: "<pairs queried>,<pairs disproved>\n",
+// then the edges
+//   <from>:<to>:<bits>[:<distance>] ';' ...
+// where from/to are instruction positions in module order and bits packs
+// the edge attributes: bit0 control, bit1 memory, bit2 loop-carried,
+// bit3 must, bits 4-5 the DataDepKind. The distance field is present
+// only when known (!= -1).
 
 void PDG::embed(Module &M) const {
   nir::assignDeterministicIDs(M);
 
-  // Instruction -> ID map (fresh IDs, so read them back once).
-  std::map<const Value *, uint64_t> IDOf;
-  uint64_t NextID = 0;
+  std::map<const Value *, uint64_t> PosOf;
+  uint64_t NextPos = 0;
   for (const auto &F : M.getFunctions())
     for (const auto &BB : F->getBlocks())
       for (const auto &I : BB->getInstList())
-        IDOf[I.get()] = NextID++;
+        PosOf[I.get()] = NextPos++;
 
   std::ostringstream OS;
+  OS << TheStats.MemoryPairsQueried << ',' << TheStats.MemoryPairsDisproved
+     << '\n';
   bool First = true;
   for (const auto *E : getEdges()) {
-    auto FromIt = IDOf.find(E->From);
-    auto ToIt = IDOf.find(E->To);
-    assert(FromIt != IDOf.end() && ToIt != IDOf.end() &&
+    auto FromIt = PosOf.find(E->From);
+    auto ToIt = PosOf.find(E->To);
+    assert(FromIt != PosOf.end() && ToIt != PosOf.end() &&
            "embed requires a whole-program PDG over this module's "
            "instructions");
     unsigned Bits = (E->IsControl ? 1u : 0u) | (E->IsMemory ? 2u : 0u) |
@@ -594,28 +595,7 @@ void PDG::embed(Module &M) const {
     if (E->Distance != -1)
       OS << ':' << E->Distance;
   }
-
-  M.setModuleMetadata(PDGEmbedKey, "1");
-  M.setModuleMetadata(PDGEmbedEdgesKey, OS.str());
-  M.setModuleMetadata(PDGEmbedStatsKey,
-                      std::to_string(TheStats.MemoryPairsQueried) + "," +
-                          std::to_string(TheStats.MemoryPairsDisproved));
-  // Hash last: it must digest the module *with* the IDs just assigned,
-  // and module-level metadata is excluded from the digest, so the embed
-  // itself cannot invalidate the hash it records.
-  M.setModuleMetadata(PDGEmbedHashKey,
-                      std::to_string(M.getContentHash()));
-}
-
-bool PDG::hasEmbedded(const Module &M) {
-  return M.hasModuleMetadata(PDGEmbedKey);
-}
-
-void PDG::clearEmbedded(Module &M) {
-  M.removeModuleMetadata(PDGEmbedKey);
-  M.removeModuleMetadata(PDGEmbedHashKey);
-  M.removeModuleMetadata(PDGEmbedEdgesKey);
-  M.removeModuleMetadata(PDGEmbedStatsKey);
+  nir::embedArtifact(M, nir::ArtifactKind::PDG, OS.str());
 }
 
 namespace {
@@ -634,18 +614,19 @@ inline bool parseUInt(const char *&P, const char *End, uint64_t &Out) {
 } // namespace
 
 std::unique_ptr<PDG> PDG::loadEmbedded(Module &M) {
-  if (!hasEmbedded(M))
+  nir::Artifact A;
+  std::string Err;
+  if (!nir::readCurrentArtifact(M, nir::ArtifactKind::PDG, A, Err))
+    return nullptr;
+  const char *P = A.Payload.data();
+  const char *End = P + A.Payload.size();
+  Stats S;
+  if (!parseUInt(P, End, S.MemoryPairsQueried) || P >= End || *P++ != ',' ||
+      !parseUInt(P, End, S.MemoryPairsDisproved) || P >= End || *P++ != '\n')
     return nullptr;
 
-  // Verify the IR is the one the graph was computed for.
-  std::string HashStr = M.getModuleMetadata(PDGEmbedHashKey);
-  if (HashStr.empty() ||
-      std::strtoull(HashStr.c_str(), nullptr, 10) != M.getContentHash())
-    return nullptr;
-
-  // Edge endpoints are positional instruction indices — the order
-  // embed() walked, which the hash match just proved unchanged. No
-  // metadata lookups needed to resolve them.
+  // Edge endpoints are positions in the order embed() walked, which the
+  // hash match just proved unchanged.
   std::vector<Value *> ByIndex;
   ByIndex.reserve(M.getNumInstructions());
   for (const auto &F : M.getFunctions())
@@ -657,9 +638,6 @@ std::unique_ptr<PDG> PDG::loadEmbedded(Module &M) {
   // one O(N + E) bulk load.
   std::vector<DependenceEdge<Value>> Decoded;
   std::vector<std::pair<uint32_t, uint32_t>> Endpoints;
-  const std::string Payload = M.getModuleMetadata(PDGEmbedEdgesKey);
-  const char *P = Payload.c_str();
-  const char *End = P + Payload.size();
   while (P < End) {
     uint64_t FromID, ToID, Bits;
     if (!parseUInt(P, End, FromID) || P >= End || *P++ != ':')
@@ -680,7 +658,7 @@ std::unique_ptr<PDG> PDG::loadEmbedded(Module &M) {
       return nullptr;
 
     if (FromID >= ByIndex.size() || ToID >= ByIndex.size())
-      return nullptr; // Dangling ID: the module changed under the cache.
+      return nullptr;
     DependenceEdge<Value> E;
     E.From = ByIndex[FromID];
     E.To = ByIndex[ToID];
@@ -697,16 +675,7 @@ std::unique_ptr<PDG> PDG::loadEmbedded(Module &M) {
 
   auto G = std::make_unique<PDG>();
   G->bulkLoad(ByIndex, std::move(Decoded), Endpoints);
-
-  std::string Stats = M.getModuleMetadata(PDGEmbedStatsKey);
-  if (!Stats.empty()) {
-    char *Next = nullptr;
-    G->getStatsMutable().MemoryPairsQueried =
-        std::strtoull(Stats.c_str(), &Next, 10);
-    if (Next && *Next == ',')
-      G->getStatsMutable().MemoryPairsDisproved =
-          std::strtoull(Next + 1, nullptr, 10);
-  }
+  G->TheStats = S;
   return G;
 }
 

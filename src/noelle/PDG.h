@@ -8,10 +8,10 @@
 ///
 /// Construction is parallel (one job per defined function on the shared
 /// analysis thread pool, deterministically merged), and the finished
-/// whole-program graph can be embedded into the IR as module-level
-/// metadata keyed by deterministic instruction IDs plus a module content
-/// hash, so downstream tools load it instead of recomputing (the paper's
-/// noelle-pdg-embed / noelle-load workflow).
+/// whole-program graph can be embedded into the IR as a hash-bound
+/// artifact (ir/Artifact.h), so downstream tools load it instead of
+/// recomputing (the paper's noelle-meta-pdg-embed / noelle-load
+/// workflow).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,12 +32,6 @@ using nir::LoopStructure;
 using nir::Module;
 using nir::Value;
 
-/// Module-level metadata keys of the embedded whole-program PDG.
-inline constexpr const char *PDGEmbedKey = "noelle.pdg.v2";
-inline constexpr const char *PDGEmbedHashKey = "noelle.pdg.v2.hash";
-inline constexpr const char *PDGEmbedEdgesKey = "noelle.pdg.v2.edges";
-inline constexpr const char *PDGEmbedStatsKey = "noelle.pdg.v2.stats";
-
 /// The PDG: nodes are instructions (plus external nodes for region
 /// live-ins/outs in derived graphs).
 class PDG : public DependenceGraph<Value> {
@@ -51,24 +45,17 @@ public:
   const Stats &getStats() const { return TheStats; }
   Stats &getStatsMutable() { return TheStats; }
 
-  /// Serializes this whole-program PDG into \p M as module-level
-  /// metadata: fresh deterministic instruction IDs are assigned, every
-  /// edge is encoded against them, and the module body's content hash is
-  /// recorded so a later load can verify the IR is unchanged. All nodes
-  /// must be instructions of \p M (the whole-program graph shape).
+  /// Stores this whole-program PDG as \p M's pdg artifact
+  /// (ir/Artifact.h): fresh deterministic instruction IDs are assigned,
+  /// and every edge is encoded by the module-order positions of its
+  /// endpoints, which the record's content hash pins. All nodes must be
+  /// instructions of \p M (the whole-program graph shape).
   void embed(Module &M) const;
 
-  /// True if \p M carries a module-level embedded PDG.
-  static bool hasEmbedded(const Module &M);
-
-  /// Reconstructs the embedded PDG of \p M after verifying it: the
-  /// recorded content hash must match the module body, and every edge
-  /// endpoint ID must resolve to an instruction. Returns null when the
-  /// module has no embedded PDG or verification fails (mutated IR).
+  /// Reconstructs \p M's pdg artifact. Returns null when \p M carries
+  /// none, when it is stale or unreadable, or when an edge endpoint does
+  /// not resolve to an instruction.
   static std::unique_ptr<PDG> loadEmbedded(Module &M);
-
-  /// Removes the module-level embedded PDG from \p M.
-  static void clearEmbedded(Module &M);
 
 private:
   Stats TheStats;

@@ -1,5 +1,6 @@
 #include "noelle/Profiler.h"
 
+#include "ir/Artifact.h"
 #include "ir/Instructions.h"
 
 #include <sstream>
@@ -136,90 +137,77 @@ ProfileData::getLoopAverageIterations(const nir::LoopStructure &L) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Embedding (noelle-meta-prof-embed / noelle-meta-clean)
+// Embedding (noelle-meta-prof-embed)
 //===----------------------------------------------------------------------===//
 
+// Payload of the prof artifact, every count by position in module order:
+//   total <instructions>
+//   fn <invocations per function>
+//   bb <executions per block>
+//   br <successor-0 count>:<successor-1 count> per conditional branch
+
 namespace {
-constexpr const char *BlockCountKey = "noelle.prof.bb";
-constexpr const char *BranchCountKey = "noelle.prof.taken";
-constexpr const char *FnCountKey = "noelle.prof.calls";
-constexpr const char *TotalKey = "noelle.prof.total";
-constexpr const char *HashKey = "noelle.prof.hash";
+
+const BranchInst *conditionalBranchOf(const BasicBlock &BB) {
+  const auto *Br = nir::dyn_cast_or_null<BranchInst>(BB.getTerminator());
+  return Br && Br->isConditional() ? Br : nullptr;
+}
+
 } // namespace
 
 void ProfileData::embed(Module &M) const {
+  std::string Fns = "fn", Blocks = "bb", Branches = "br";
   for (const auto &F : M.getFunctions()) {
-    uint64_t Inv = getFunctionInvocations(F.get());
-    if (Inv)
-      F->setMetadata(FnCountKey, std::to_string(Inv));
+    Fns += " " + std::to_string(getFunctionInvocations(F.get()));
     for (const auto &BB : F->getBlocks()) {
-      if (BB->empty())
-        continue;
-      uint64_t C = getBlockCount(BB.get());
-      // Attach to the first instruction: block metadata does not survive
-      // printing, instruction metadata does.
-      BB->front()->setMetadata(BlockCountKey, std::to_string(C));
-      if (const auto *Br =
-              nir::dyn_cast_or_null<BranchInst>(BB->getTerminator())) {
-        if (Br->isConditional()) {
-          std::ostringstream OS;
-          OS << getBranchTakenCount(Br, 0) << ","
-             << getBranchTakenCount(Br, 1);
-          const_cast<BranchInst *>(Br)->setMetadata(BranchCountKey, OS.str());
-        }
-      }
+      Blocks += " " + std::to_string(getBlockCount(BB.get()));
+      if (const BranchInst *Br = conditionalBranchOf(*BB))
+        Branches += " " + std::to_string(getBranchTakenCount(Br, 0)) + ":" +
+                    std::to_string(getBranchTakenCount(Br, 1));
     }
   }
-  M.setModuleMetadata(TotalKey, std::to_string(TotalInstructions));
-  M.setModuleMetadata(HashKey, std::to_string(M.getContentHash()));
+  nir::embedArtifact(M, nir::ArtifactKind::Profile,
+                     "total " + std::to_string(TotalInstructions) + "\n" +
+                         Fns + "\n" + Blocks + "\n" + Branches + "\n");
 }
 
-ProfileData ProfileData::fromMetadata(Module &M) {
-  ProfileData Data;
-  std::string Total = M.getModuleMetadata(TotalKey);
-  if (!Total.empty())
-    Data.TotalInstructions = std::stoull(Total);
+std::unique_ptr<ProfileData> ProfileData::loadEmbedded(const Module &M) {
+  nir::Artifact A;
+  std::string Err;
+  if (!nir::readCurrentArtifact(M, nir::ArtifactKind::Profile, A, Err))
+    return nullptr;
+  auto P = std::make_unique<ProfileData>();
+  std::istringstream In{std::string(A.Payload)};
+  std::string Tag;
+  auto Expect = [&](const char *Want) { return In >> Tag && Tag == Want; };
+  uint64_t C = 0, C1 = 0;
+  char Colon = 0;
+  if (!Expect("total") || !(In >> P->TotalInstructions) || !Expect("fn"))
+    return nullptr;
   for (const auto &F : M.getFunctions()) {
-    std::string Inv = F->getMetadata(FnCountKey);
-    if (!Inv.empty())
-      Data.FnInvocations[F.get()] = std::stoull(Inv);
-    for (const auto &BB : F->getBlocks()) {
-      if (BB->empty())
-        continue;
-      std::string C = BB->front()->getMetadata(BlockCountKey);
-      if (!C.empty())
-        Data.BlockCounts[BB.get()] = std::stoull(C);
-      if (const auto *Br =
-              nir::dyn_cast_or_null<BranchInst>(BB->getTerminator())) {
-        std::string T = Br->getMetadata(BranchCountKey);
-        auto Comma = T.find(',');
-        if (Comma != std::string::npos)
-          Data.BranchCounts[Br] = {std::stoull(T.substr(0, Comma)),
-                                   std::stoull(T.substr(Comma + 1))};
-      }
-    }
+    if (!(In >> C))
+      return nullptr;
+    if (C)
+      P->FnInvocations[F.get()] = C;
   }
-  return Data;
-}
-
-void ProfileData::clean(Module &M) {
-  M.removeModuleMetadata(TotalKey);
-  M.removeModuleMetadata(HashKey);
-  for (const auto &F : M.getFunctions()) {
-    F->removeMetadata(FnCountKey);
+  if (!Expect("bb"))
+    return nullptr;
+  for (const auto &F : M.getFunctions())
+    for (const auto &BB : F->getBlocks()) {
+      if (!(In >> C))
+        return nullptr;
+      if (C)
+        P->BlockCounts[BB.get()] = C;
+    }
+  if (!Expect("br"))
+    return nullptr;
+  for (const auto &F : M.getFunctions())
     for (const auto &BB : F->getBlocks())
-      for (const auto &I : BB->getInstList()) {
-        I->removeMetadata(BlockCountKey);
-        I->removeMetadata(BranchCountKey);
+      if (const BranchInst *Br = conditionalBranchOf(*BB)) {
+        if (!(In >> C >> Colon >> C1) || Colon != ':')
+          return nullptr;
+        if (C || C1)
+          P->BranchCounts[Br] = {C, C1};
       }
-  }
-}
-
-bool ProfileData::isEmbedded(const Module &M) {
-  return M.hasModuleMetadata(TotalKey);
-}
-
-bool ProfileData::isCurrent(const Module &M) {
-  return isEmbedded(M) &&
-         M.getModuleMetadata(HashKey) == std::to_string(M.getContentHash());
+  return P;
 }

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// NOELLE's profiler abstraction (PRO): instruction/branch/loop/function
-/// profilers driven by interpreter observation, profile embedding into IR
-/// metadata (noelle-meta-prof-embed), and high-level hotness queries.
+/// profilers driven by interpreter observation, profile embedding as a
+/// hash-bound artifact (noelle-meta-prof-embed), and high-level hotness
+/// queries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 #include "ir/Module.h"
 
 #include <map>
+#include <memory>
 
 namespace noelle {
 
@@ -54,24 +56,14 @@ public:
   /// Average iterations per invocation (0 when never invoked).
   double getLoopAverageIterations(const nir::LoopStructure &L) const;
 
-  /// Writes the profile into IR metadata so it survives print/parse,
-  /// bound to \p M's content hash.
+  /// Stores the profile as \p M's prof artifact (ir/Artifact.h), bound
+  /// to \p M's content hash: it survives printing and parsing, and any
+  /// code edit makes it stale.
   void embed(Module &M) const;
 
-  /// Reconstructs a profile previously embedded in \p M's metadata.
-  static ProfileData fromMetadata(Module &M);
-
-  /// Removes embedded profile metadata (noelle-meta-clean).
-  static void clean(Module &M);
-
-  /// True if \p M carries an embedded profile.
-  static bool isEmbedded(const Module &M);
-
-  /// True if \p M carries an embedded profile bound to its current
-  /// content hash, i.e. collected on identical code. The hash ignores
-  /// metadata, so embedding and printing keep the binding; any code
-  /// edit breaks it.
-  static bool isCurrent(const Module &M);
+  /// Reconstructs \p M's prof artifact. Null when \p M carries none, or
+  /// when it is stale (collected on other code) or unreadable.
+  static std::unique_ptr<ProfileData> loadEmbedded(const Module &M);
 
 private:
   friend class Profiler;

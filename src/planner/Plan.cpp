@@ -2,16 +2,13 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 
 using namespace noelle;
 using namespace noelle::planner;
 
-std::string ProgramPlan::serialize() const {
-  std::string Out = "plan v1\n";
+std::string ProgramPlan::payload() const {
+  std::string Out;
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "hash %016" PRIx64 "\n", ModuleHash);
-  Out += Buf;
   for (const PlanEntry &E : Entries) {
     Out += "loop fn=" + E.FunctionName;
     std::snprintf(Buf, sizeof(Buf), " header=%" PRIu64, E.HeaderInstID);
@@ -40,160 +37,94 @@ std::string ProgramPlan::serialize() const {
   return Out;
 }
 
-namespace {
-
-/// Splits "key=value"; returns false on malformed tokens.
-bool splitKV(const std::string &Tok, std::string &Key, std::string &Val) {
-  size_t Eq = Tok.find('=');
-  if (Eq == std::string::npos || Eq == 0)
-    return false;
-  Key = Tok.substr(0, Eq);
-  Val = Tok.substr(Eq + 1);
-  return true;
+std::string ProgramPlan::serialize() const {
+  return nir::formatArtifact(nir::ArtifactKind::Plan, ModuleHash, payload());
 }
 
-} // namespace
-
-bool ProgramPlan::deserialize(const std::string &Text, ProgramPlan &Out,
-                              std::string &Err) {
+bool ProgramPlan::decode(const nir::Artifact &A, ProgramPlan &Out,
+                         std::string &Err) {
   Out = ProgramPlan();
-  std::istringstream In(Text);
-  std::string Line;
-  unsigned LineNo = 0;
-  bool SawHeader = false, SawHash = false;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    std::istringstream LS(Line);
-    std::string Word;
-    LS >> Word;
-    if (Word == "plan") {
-      std::string Version;
-      LS >> Version;
-      if (Version != "v1") {
-        Err = "line " + std::to_string(LineNo) +
-              ": unsupported plan version '" + Version + "'";
-        return false;
-      }
-      SawHeader = true;
-      continue;
-    }
-    if (Word == "hash") {
-      std::string Hex;
-      LS >> Hex;
-      uint64_t H = 0;
-      if (Hex.empty() ||
-          std::sscanf(Hex.c_str(), "%" SCNx64, &H) != 1) {
-        Err = "line " + std::to_string(LineNo) + ": malformed hash";
-        return false;
-      }
-      Out.ModuleHash = H;
-      SawHash = true;
-      continue;
-    }
+  Out.ModuleHash = A.Hash;
+  auto Line = [&Out](const std::string &Word, const nir::ArtifactFields &Fs,
+                     std::string &Why) {
     if (Word != "loop") {
-      Err = "line " + std::to_string(LineNo) + ": unknown record '" +
-            Word + "'";
+      Why = "unknown record '" + Word + "'";
       return false;
     }
     PlanEntry E;
     bool SawFn = false, SawHdr = false, SawKind = false;
-    std::string Tok;
-    while (LS >> Tok) {
-      std::string Key, Val;
-      if (!splitKV(Tok, Key, Val)) {
-        Err = "line " + std::to_string(LineNo) + ": malformed token '" +
-              Tok + "'";
-        return false;
-      }
-      try {
-        if (Key == "fn") {
-          E.FunctionName = Val;
-          SawFn = true;
-        } else if (Key == "header") {
-          E.HeaderInstID = std::stoull(Val);
-          SawHdr = true;
-        } else if (Key == "loop") {
-          E.LoopID = static_cast<unsigned>(std::stoul(Val));
-        } else if (Key == "kind") {
-          if (!techniqueFromName(Val, E.Kind)) {
-            Err = "line " + std::to_string(LineNo) +
-                  ": unknown technique '" + Val + "'";
-            return false;
-          }
-          SawKind = true;
-        } else if (Key == "workers") {
-          E.Workers = static_cast<unsigned>(std::stoul(Val));
-        } else if (Key == "chunk") {
-          E.ChunkGrain = static_cast<unsigned>(std::stoul(Val));
-        } else if (Key == "parent") {
-          E.Parent = std::stoi(Val);
-        } else if (Key == "speedup") {
-          E.SpeedupMilli = std::stoll(Val);
-        } else if (Key == "measured") {
-          E.MeasuredMilli = std::stoll(Val);
-        } else if (Key == "misspec") {
-          E.MisspecMilli = std::stoll(Val);
-        } else if (Key == "premises") {
-          size_t Pos = 0;
-          while (Pos < Val.size()) {
-            size_t Comma = Val.find(',', Pos);
-            std::string Pair = Val.substr(
-                Pos, Comma == std::string::npos ? Comma : Comma - Pos);
-            size_t Colon = Pair.find(':');
-            if (Colon == std::string::npos || Colon == 0 ||
-                Colon + 1 == Pair.size()) {
-              Err = "line " + std::to_string(LineNo) +
-                    ": malformed premise '" + Pair + "'";
-              return false;
-            }
-            E.Premises.push_back({std::stoull(Pair.substr(0, Colon)),
-                                  std::stoull(Pair.substr(Colon + 1))});
-            Pos = Comma == std::string::npos ? Val.size() : Comma + 1;
-          }
-        } else {
-          Err = "line " + std::to_string(LineNo) + ": unknown key '" +
-                Key + "'";
+    for (const auto &[Key, Val] : Fs) {
+      if (Key == "fn") {
+        E.FunctionName = Val;
+        SawFn = true;
+      } else if (Key == "header") {
+        E.HeaderInstID = std::stoull(Val);
+        SawHdr = true;
+      } else if (Key == "loop") {
+        E.LoopID = static_cast<unsigned>(std::stoul(Val));
+      } else if (Key == "kind") {
+        if (!techniqueFromName(Val, E.Kind)) {
+          Why = "unknown technique '" + Val + "'";
           return false;
         }
-      } catch (const std::exception &) {
-        Err = "line " + std::to_string(LineNo) + ": bad number in '" +
-              Tok + "'";
+        SawKind = true;
+      } else if (Key == "workers") {
+        E.Workers = static_cast<unsigned>(std::stoul(Val));
+      } else if (Key == "chunk") {
+        E.ChunkGrain = static_cast<unsigned>(std::stoul(Val));
+      } else if (Key == "parent") {
+        E.Parent = std::stoi(Val);
+      } else if (Key == "speedup") {
+        E.SpeedupMilli = std::stoll(Val);
+      } else if (Key == "measured") {
+        E.MeasuredMilli = std::stoll(Val);
+      } else if (Key == "misspec") {
+        E.MisspecMilli = std::stoll(Val);
+      } else if (Key == "premises") {
+        size_t Pos = 0;
+        while (Pos < Val.size()) {
+          size_t Comma = Val.find(',', Pos);
+          std::string Pair = Val.substr(
+              Pos, Comma == std::string::npos ? Comma : Comma - Pos);
+          size_t Colon = Pair.find(':');
+          if (Colon == std::string::npos || Colon == 0 ||
+              Colon + 1 == Pair.size()) {
+            Why = "malformed premise '" + Pair + "'";
+            return false;
+          }
+          E.Premises.push_back({std::stoull(Pair.substr(0, Colon)),
+                                std::stoull(Pair.substr(Colon + 1))});
+          Pos = Comma == std::string::npos ? Val.size() : Comma + 1;
+        }
+      } else {
+        Why = "unknown key '" + Key + "'";
         return false;
       }
     }
     if (!SawFn || !SawHdr || !SawKind) {
-      Err = "line " + std::to_string(LineNo) +
-            ": loop record missing fn/header/kind";
+      Why = "loop record missing fn/header/kind";
       return false;
     }
     Out.Entries.push_back(std::move(E));
-  }
-  if (!SawHeader) {
-    Err = "missing 'plan v1' header";
-    return false;
-  }
-  if (!SawHash) {
-    Err = "missing 'hash' record";
-    return false;
-  }
-  return true;
+    return true;
+  };
+  return nir::forEachArtifactLine(A.Payload, Line, Err);
+}
+
+bool ProgramPlan::deserialize(const std::string &Text, ProgramPlan &Out,
+                              std::string &Err) {
+  nir::Artifact A;
+  return nir::parseArtifact(nir::ArtifactKind::Plan, Text, A, Err) &&
+         decode(A, Out, Err);
 }
 
 void ProgramPlan::embed(nir::Module &M) const {
-  M.setModuleMetadata(PlanEmbedKey, serialize());
+  nir::embedArtifact(M, nir::ArtifactKind::Plan, ModuleHash, payload());
 }
 
 bool ProgramPlan::fromModule(const nir::Module &M, ProgramPlan &Out,
                              std::string &Err) {
-  if (!M.hasModuleMetadata(PlanEmbedKey)) {
-    Err = "module carries no embedded plan";
-    return false;
-  }
-  return deserialize(M.getModuleMetadata(PlanEmbedKey), Out, Err);
-}
-
-void ProgramPlan::clean(nir::Module &M) {
-  M.removeModuleMetadata(PlanEmbedKey);
+  nir::Artifact A;
+  return nir::readArtifact(M, nir::ArtifactKind::Plan, A, Err) &&
+         decode(A, Out, Err);
 }

@@ -7,12 +7,12 @@
 /// are keyed by the module's structural content hash and identified per
 /// loop by the deterministic instruction ID of the loop header's first
 /// instruction (ir/IDs.h) — both survive printing, parsing, and
-/// annotation, so a plan can be embedded as module metadata next to the
-/// PDG cache, audited by `noelle-check --plan`, and applied one-shot by
-/// `noelle-parallelize`.
+/// annotation, so a plan can be embedded as the module's plan artifact
+/// (ir/Artifact.h) next to the PDG, audited by `noelle-check --plan`,
+/// and applied one-shot by `noelle-parallelize`.
 ///
-/// Wire format (one record per line, deterministic, so a
-/// serialize→deserialize→serialize round trip is byte-identical):
+/// Wire format (the artifact record, one entry per line, deterministic,
+/// so a serialize→deserialize→serialize round trip is byte-identical):
 ///
 ///   plan v1
 ///   hash <16 hex digits>
@@ -32,6 +32,7 @@
 #ifndef PLANNER_PLAN_H
 #define PLANNER_PLAN_H
 
+#include "ir/Artifact.h"
 #include "xforms/ParallelizationTechnique.h"
 
 #include <string>
@@ -39,9 +40,6 @@
 
 namespace noelle {
 namespace planner {
-
-/// Module metadata key a plan is embedded under.
-inline constexpr const char *PlanEmbedKey = "noelle.plan.v1";
 
 /// One loop's slice of the program plan.
 struct PlanEntry {
@@ -96,21 +94,25 @@ struct ProgramPlan {
     return ModuleHash == O.ModuleHash && Entries == O.Entries;
   }
 
+  /// The artifact record text, bound to ModuleHash.
   std::string serialize() const;
   static bool deserialize(const std::string &Text, ProgramPlan &Out,
                           std::string &Err);
 
-  /// Stores the plan as module metadata (PlanEmbedKey). The module's
-  /// content hash is metadata-agnostic, so embedding does not invalidate
-  /// the plan's own hash binding (nor the PDG cache).
+  /// Stores the plan as \p M's plan artifact, bound to ModuleHash (the
+  /// module it was computed for), not to \p M's current hash.
   void embed(nir::Module &M) const;
 
-  /// Loads an embedded plan. Returns false when absent or malformed.
+  /// Loads \p M's plan artifact whatever hash it carries: checkPlan and
+  /// Planner::apply reject a plan computed for other code. Returns false
+  /// when absent or unreadable.
   static bool fromModule(const nir::Module &M, ProgramPlan &Out,
                          std::string &Err);
 
-  /// Removes an embedded plan.
-  static void clean(nir::Module &M);
+private:
+  std::string payload() const;
+  static bool decode(const nir::Artifact &A, ProgramPlan &Out,
+                     std::string &Err);
 };
 
 } // namespace planner

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -21,28 +20,6 @@ namespace {
 
 bool isTaskFunction(const nir::Function &F) {
   return F.getMetadata("noelle.task") == "true";
-}
-
-/// The plan's loop identity: the deterministic ID of the header's first
-/// instruction. False when the module carries no IDs.
-bool headerInstID(const nir::LoopStructure &LS, uint64_t &Out) {
-  const auto &Insts = LS.getHeader()->getInstList();
-  if (Insts.empty())
-    return false;
-  std::string ID = Insts.front()->getMetadata(nir::InstIDKey);
-  if (ID.empty())
-    return false;
-  Out = std::strtoull(ID.c_str(), nullptr, 10);
-  return true;
-}
-
-bool moduleHasInstIDs(const nir::Module &M) {
-  for (const auto &F : M.getFunctions())
-    for (const auto &BB : F->getBlocks())
-      for (const auto &I : BB->getInstList())
-        if (I->hasMetadata(nir::InstIDKey))
-          return true;
-  return false;
 }
 
 } // namespace
@@ -90,7 +67,7 @@ ProgramPlan Planner::plan() {
   nir::Module &M = N.getModule();
   // Loop identities need deterministic IDs; respect existing ones (a
   // verify snapshot may already reference them).
-  if (!moduleHasInstIDs(M))
+  if (!nir::hasDeterministicIDs(M))
     nir::assignDeterministicIDs(M);
 
   ProfileData *Prof = getProfiles();
@@ -106,12 +83,8 @@ ProgramPlan Planner::plan() {
   // term of speculative candidates: a loop observed across many
   // invocations without the dependence manifesting earns a lower
   // modeled rollback charge (rule of succession, 1/(n+2)).
-  MemDepProfile MemDep;
-  bool HasMemDep = false;
-  if (Opts.EnableSpeculation) {
-    std::string MemDepErr;
-    HasMemDep = MemDepProfile::fromModule(M, MemDep, MemDepErr);
-  }
+  const MemDepProfile *MemDep =
+      Opts.EnableSpeculation ? N.getMemDepProfile() : nullptr;
 
   ProgramPlan P;
   P.ModuleHash = M.getContentHash();
@@ -151,12 +124,12 @@ ProgramPlan Planner::plan() {
         continue;
       if (C.Cost.speedup() < Opts.MinimumSpeedup)
         continue;
-      uint64_t HID = 0;
-      if (!headerInstID(LS, HID))
+      std::optional<uint64_t> HID = LS.getHeaderID();
+      if (!HID)
         continue;
       PlanEntry E;
       E.FunctionName = LS.getFunction()->getName();
-      E.HeaderInstID = HID;
+      E.HeaderInstID = *HID;
       E.LoopID = LS.getID();
       E.Kind = TechniqueKind::DOALL;
       E.Workers = C.Plan.Workers;
@@ -177,15 +150,15 @@ ProgramPlan Planner::plan() {
         continue;
     }
 
-    uint64_t HID = 0;
-    if (!headerInstID(LS, HID))
+    std::optional<uint64_t> HID = LS.getHeaderID();
+    if (!HID)
       continue;
 
     CostQuery Q = Model.queryFor(*LC, Prof);
     double SpecProb = 0.0;
-    if (HasMemDep && MemDep.coversLoop(HID))
+    if (MemDep && MemDep->coversLoop(*HID))
       SpecProb =
-          1.0 / static_cast<double>(MemDep.loopInvocations(HID) + 2);
+          1.0 / static_cast<double>(MemDep->loopInvocations(*HID) + 2);
 
     bool Any = false;
     PlanChoice Best;
@@ -213,7 +186,7 @@ ProgramPlan Planner::plan() {
       continue;
     PlanEntry E;
     E.FunctionName = LS.getFunction()->getName();
-    E.HeaderInstID = HID;
+    E.HeaderInstID = *HID;
     E.LoopID = LS.getID();
     E.Kind = BestKind;
     E.Workers = Best.Plan.Workers;
@@ -245,8 +218,7 @@ LoopContent *findPlannedLoop(Noelle &N, const PlanEntry &E) {
       continue;
     if (LS.getFunction()->getName() != E.FunctionName)
       continue;
-    uint64_t HID = 0;
-    if (headerInstID(LS, HID) && HID == E.HeaderInstID)
+    if (LS.getHeaderID() == E.HeaderInstID)
       return LC;
   }
   return nullptr;
@@ -315,6 +287,14 @@ std::vector<Decision> Planner::apply(const ProgramPlan &P) {
     }
     return Decisions;
   }
+
+  // The memory-dependence profile is bound to the module as planned;
+  // read it before the first entry changes the code.
+  for (const PlanEntry &E : P.Entries)
+    if (E.Kind == TechniqueKind::SpecDOALL) {
+      N.getMemDepProfile();
+      break;
+    }
 
   std::vector<bool> Applied(P.Entries.size(), false);
   for (size_t I = 0; I < P.Entries.size(); ++I) {

@@ -1,15 +1,13 @@
 #include "tools/NoelleTools.h"
 
 #include "frontend/MiniC.h"
+#include "ir/Artifact.h"
 #include "ir/IDs.h"
 #include "ir/Linker.h"
 #include "runtime/ParallelRuntime.h"
 #include "xforms/LICM.h"
 
-#include <sstream>
-
 using namespace noelle;
-using nir::Instruction;
 using nir::Module;
 
 std::unique_ptr<Module>
@@ -43,121 +41,18 @@ ProfileData tools::profCoverage(Module &M) {
 
 void tools::metaProfEmbed(Module &M, const ProfileData &P) { P.embed(M); }
 
-namespace {
-constexpr const char *PDGDepsKey = "noelle.pdg.deps";
-constexpr const char *PDGEmbeddedKey = "noelle.pdg.embedded";
-
-/// Edge encoding: "<toID>:<flags>[:<kind>]" where flags is a string of
-/// c(ontrol) m(emory) l(oop-carried) M(ust) characters.
-std::string encodeEdge(uint64_t ToID, const DependenceEdge<nir::Value> &E) {
-  std::ostringstream OS;
-  OS << ToID << ":";
-  if (E.IsControl)
-    OS << "c";
-  if (E.IsMemory)
-    OS << "m";
-  if (E.IsLoopCarried)
-    OS << "l";
-  if (E.IsMust)
-    OS << "M";
-  OS << ":"
-     << (E.Kind == DataDepKind::RAW   ? "raw"
-         : E.Kind == DataDepKind::WAW ? "waw"
-                                      : "war");
-  return OS.str();
-}
-} // namespace
-
-void tools::metaPDGEmbed(Module &M, const PDGBuildOptions &Opts) {
-  nir::assignDeterministicIDs(M);
-  PDGBuilder Builder(M, Opts);
-  PDG &G = Builder.getPDG();
-
-  // Group out-edges per source instruction.
-  for (const auto &F : M.getFunctions())
-    for (const auto &BB : F->getBlocks())
-      for (const auto &I : BB->getInstList()) {
-        std::ostringstream OS;
-        bool First = true;
-        for (const auto *E : G.getOutEdges(I.get())) {
-          const auto *To = nir::dyn_cast<Instruction>(E->To);
-          if (!To)
-            continue;
-          std::string ToID = To->getMetadata(nir::InstIDKey);
-          if (ToID.empty())
-            continue;
-          if (!First)
-            OS << ",";
-          First = false;
-          OS << encodeEdge(std::stoull(ToID), *E);
-        }
-        std::string Payload = OS.str();
-        if (!Payload.empty())
-          I->setMetadata(PDGDepsKey, Payload);
-      }
-  M.setModuleMetadata(PDGEmbeddedKey, "true");
-}
-
 uint64_t tools::pdgEmbed(Module &M, const PDGBuildOptions &Opts) {
-  // Never load a stale cache into the builder that is about to refresh
-  // it: drop the old blob first, then build (in parallel) and embed.
-  PDG::clearEmbedded(M);
+  // Never load an old record into the builder that is about to refresh
+  // it: drop it first, then build (in parallel) and embed.
+  nir::eraseArtifact(M, nir::ArtifactKind::PDG);
   PDGBuilder Builder(M, Opts);
   PDG &G = Builder.getPDG();
   G.embed(M);
   return G.getEdges().size();
 }
 
-bool tools::hasPDGMetadata(const Module &M) {
-  return M.hasModuleMetadata(PDGEmbeddedKey) || PDG::hasEmbedded(M);
-}
-
-std::unique_ptr<PDG> tools::pdgFromMetadata(Module &M) {
-  assert(hasPDGMetadata(M) && "no embedded PDG");
-  auto Index = nir::buildInstructionIndex(M);
-  auto G = std::make_unique<PDG>();
-  for (const auto &[ID, I] : Index)
-    G->addNode(I, /*Internal=*/true);
-
-  for (const auto &[ID, I] : Index) {
-    std::string Payload = I->getMetadata(PDGDepsKey);
-    if (Payload.empty())
-      continue;
-    std::istringstream IS(Payload);
-    std::string Item;
-    while (std::getline(IS, Item, ',')) {
-      // <toID>:<flags>:<kind>
-      size_t C1 = Item.find(':');
-      size_t C2 = Item.find(':', C1 + 1);
-      if (C1 == std::string::npos || C2 == std::string::npos)
-        continue;
-      uint64_t ToID = std::stoull(Item.substr(0, C1));
-      std::string Flags = Item.substr(C1 + 1, C2 - C1 - 1);
-      std::string Kind = Item.substr(C2 + 1);
-      auto ToIt = Index.find(ToID);
-      if (ToIt == Index.end())
-        continue;
-      DependenceEdge<nir::Value> E;
-      E.From = I;
-      E.To = ToIt->second;
-      E.IsControl = Flags.find('c') != std::string::npos;
-      E.IsMemory = Flags.find('m') != std::string::npos;
-      E.IsLoopCarried = Flags.find('l') != std::string::npos;
-      E.IsMust = Flags.find('M') != std::string::npos;
-      E.Kind = Kind == "raw"   ? DataDepKind::RAW
-               : Kind == "waw" ? DataDepKind::WAW
-                               : DataDepKind::WAR;
-      G->addEdge(E);
-    }
-  }
-  return G;
-}
-
 void tools::metaClean(Module &M) {
-  ProfileData::clean(M);
-  M.removeModuleMetadata(PDGEmbeddedKey);
-  M.removeModuleMetadata("noelle.pdg.embedded");
-  PDG::clearEmbedded(M);
+  nir::eraseArtifacts(M);
   for (const auto &F : M.getFunctions()) {
     std::vector<std::string> Doomed;
     for (const auto &[K, V] : F->getAllMetadata())

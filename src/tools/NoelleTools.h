@@ -7,9 +7,8 @@
 ///
 ///   noelle-whole-IR          wholeIR()          sources -> one module
 ///   noelle-prof-coverage     profCoverage()     run profilers
-///   noelle-meta-prof-embed   metaProfEmbed()    profiles -> metadata
-///   noelle-meta-pdg-embed    metaPDGEmbed()     PDG -> inst metadata
-///   noelle-pdg-embed         pdgEmbed()         PDG -> module cache
+///   noelle-meta-prof-embed   metaProfEmbed()    profile -> prof record
+///   noelle-meta-pdg-embed    pdgEmbed()         PDG -> pdg record
 ///   noelle-meta-clean        metaClean()        strip NOELLE metadata
 ///   noelle-rm-lc-dependences rmLCDependences()  reduce loop-carried deps
 ///   noelle-arch              archDescribe()     machine description
@@ -44,32 +43,22 @@ std::unique_ptr<nir::Module> wholeIR(nir::Context &Ctx,
 /// the module's training execution (@main with its baked-in input).
 ProfileData profCoverage(nir::Module &M);
 
-/// noelle-meta-prof-embed: writes a collected profile into IR metadata.
+/// noelle-meta-prof-embed: stores a collected profile as the module's
+/// prof artifact (ProfileData::embed).
 void metaProfEmbed(nir::Module &M, const ProfileData &P);
 
-/// noelle-meta-pdg-embed: computes the PDG under the given options and
-/// embeds every dependence edge as instruction metadata (keyed by
-/// deterministic instruction IDs), so later stages can rebuild the PDG
-/// without re-running the expensive alias analyses.
-void metaPDGEmbed(nir::Module &M, const PDGBuildOptions &Opts = {});
-
-/// noelle-pdg-embed: computes the whole-program PDG under the given
-/// options and serializes it into module-level metadata together with a
-/// content hash of the IR (PDG::embed). Unlike metaPDGEmbed, the cache
-/// survives the textual print/parse round-trip as one self-verifying
-/// blob: a later PDGBuilder (or noelle-load) checks the hash and loads
-/// the graph instead of re-running the alias analyses — and silently
-/// falls back to a fresh build when the IR changed underneath it.
-/// Returns the number of edges embedded.
+/// noelle-meta-pdg-embed: computes the whole-program PDG under the given
+/// options and stores it as the module's pdg artifact (PDG::embed,
+/// ir/Artifact.h). The record survives the textual print/parse round
+/// trip: a later PDGBuilder (or noelle-load) loads the graph instead of
+/// re-running the alias analyses while the record's content hash
+/// matches, and rebuilds when the IR changed underneath it. Returns the
+/// number of edges embedded.
 uint64_t pdgEmbed(nir::Module &M, const PDGBuildOptions &Opts = {});
 
-/// True if \p M carries an embedded PDG.
-bool hasPDGMetadata(const nir::Module &M);
-
-/// Rebuilds the PDG from embedded metadata (no alias analyses run).
-std::unique_ptr<PDG> pdgFromMetadata(nir::Module &M);
-
-/// noelle-meta-clean: removes every noelle.* metadata entry.
+/// noelle-meta-clean: removes every artifact record and every noelle.*
+/// function and instruction metadata entry. The compilation options
+/// wholeIR embeds stay.
 void metaClean(nir::Module &M);
 
 /// noelle-rm-lc-dependences: reduces loop-carried data dependences in

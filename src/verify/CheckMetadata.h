@@ -31,7 +31,7 @@
 ///
 /// IDs are only emitted when the pre-transform IR carried deterministic
 /// IDs (ir/IDs.h) — i.e. when the pipeline ran verify::captureForCheck
-/// (or noelle-pdg-embed) before transforming. Without IDs the transforms
+/// (or noelle-meta-pdg-embed) before transforming. Without IDs the transforms
 /// still tag kinds and counts, and the checker reports the tasks as
 /// unauditable instead of guessing.
 ///

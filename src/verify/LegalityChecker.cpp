@@ -16,19 +16,6 @@ using nir::Value;
 
 namespace {
 
-std::optional<uint64_t> idOf(const Value *V) {
-  std::string S = V->getMetadata(nir::InstIDKey);
-  if (S.empty())
-    return std::nullopt;
-  uint64_t N = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    N = N * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return N;
-}
-
 bool isIVSCC(const SCC *S, InductionVariableManager &IVs) {
   for (const auto &IV : IVs.getInductionVariables())
     if (IV->getSCC() == S || S->contains(IV->getPhi()))
@@ -99,8 +86,8 @@ private:
   /// workers execute overlapping iterations.
   void checkIVRebase(const TaskInfo &T) {
     for (const auto &IV : IVs.getInductionVariables()) {
-      auto PhiId = idOf(IV->getPhi());
-      auto StepId = idOf(IV->getStepInstruction());
+      auto PhiId = nir::instIDOf(IV->getPhi());
+      auto StepId = nir::instIDOf(IV->getStepInstruction());
       if (!PhiId || !StepId)
         continue; // Snapshot lacks IDs; reported as MissingMetadata.
 
@@ -157,7 +144,7 @@ private:
       if (!RV)
         continue; // HELIX segment state lives in spill slots instead.
 
-      auto PhiId = idOf(RV->Phi);
+      auto PhiId = nir::instIDOf(RV->Phi);
       if (!PhiId)
         continue;
       auto PhiIt = T.Clones.find(*PhiId);
@@ -186,7 +173,7 @@ private:
       }
 
       // The partial result must land in a per-worker lane.
-      auto OutId = idOf(Out);
+      auto OutId = nir::instIDOf(Out);
       bool LaneStore = false;
       for (const auto &BB : T.Fn->getBlocks())
         for (const auto &IPtr : BB->getInstList()) {
@@ -233,8 +220,8 @@ private:
           (isIVSCC(SF, IVs) || RM.getReductionFor(SF)))
         continue;
 
-      auto FromId = idOf(From);
-      auto ToId = idOf(To);
+      auto FromId = nir::instIDOf(From);
+      auto ToId = nir::instIDOf(To);
       if (!FromId || !ToId)
         continue;
 
@@ -387,8 +374,8 @@ private:
       auto *To = nir::dyn_cast<Instruction>(E->To);
       if (!From || !To || !LS.contains(From) || !LS.contains(To))
         continue;
-      auto FromId = idOf(From);
-      auto ToId = idOf(To);
+      auto FromId = nir::instIDOf(From);
+      auto ToId = nir::instIDOf(To);
       if (!FromId || !ToId)
         continue;
       for (const TaskInfo &T : R.Tasks) {
@@ -442,13 +429,9 @@ void noelle::verify::checkLegality(Noelle &Snapshot,
                                    const std::vector<ParallelRegion> &Regions,
                                    CheckReport &Rep) {
   std::map<uint64_t, LoopContent *> ByOrigin;
-  for (LoopContent *LCPtr : Snapshot.getLoopContents()) {
-    nir::LoopStructure &LS = LCPtr->getLoopStructure();
-    if (LS.getHeader()->getInstList().empty())
-      continue;
-    if (auto Id = idOf(LS.getHeader()->getInstList().front().get()))
+  for (LoopContent *LCPtr : Snapshot.getLoopContents())
+    if (auto Id = LCPtr->getLoopStructure().getHeaderID())
       ByOrigin[*Id] = LCPtr;
-  }
 
   for (const ParallelRegion &R : Regions) {
     auto It = ByOrigin.find(R.Origin);

@@ -15,7 +15,7 @@ using namespace noelle::verify;
 
 PreTransformSnapshot noelle::verify::captureForCheck(nir::Module &M) {
   PreTransformSnapshot Snap;
-  // noelle-pdg-embed assigns fresh deterministic IDs and serializes the
+  // noelle-meta-pdg-embed assigns fresh deterministic IDs and serializes the
   // PDG keyed by the module's content hash; both travel in the text.
   Snap.PDGEdges = tools::pdgEmbed(M);
   Snap.IRText = M.str();
@@ -73,25 +73,11 @@ CheckReport noelle::verify::checkModule(nir::Module &M,
     // distinct workers), so recover the flags first.
     SnapNoelle.refinePDGLoopCarried();
     PDGDependenceSummary Deps;
-    auto IdOf = [](const nir::Value *V) -> uint64_t {
-      const auto *I = nir::dyn_cast<nir::Instruction>(V);
-      if (!I)
-        return 0;
-      std::string S = I->getMetadata(nir::InstIDKey);
-      if (S.empty())
-        return 0;
-      uint64_t N = 0;
-      for (char C : S) {
-        if (C < '0' || C > '9')
-          return 0;
-        N = N * 10 + static_cast<uint64_t>(C - '0');
-      }
-      return N;
-    };
     for (const auto *E : SnapNoelle.getPDG().getEdges()) {
       if (!E->IsMemory)
         continue;
-      uint64_t F = IdOf(E->From), T = IdOf(E->To);
+      uint64_t F = nir::instIDOf(E->From).value_or(0);
+      uint64_t T = nir::instIDOf(E->To).value_or(0);
       if (!F || !T)
         continue;
       Deps.MemDeps.insert({F, T});

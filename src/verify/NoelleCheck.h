@@ -11,7 +11,7 @@
 ///   CheckReport Rep = checkModule(M, Snap);          // audit the result
 ///
 /// captureForCheck assigns deterministic instruction IDs, embeds the
-/// PDG into the module (noelle-pdg-embed), and snapshots the IR text.
+/// PDG into the module (noelle-meta-pdg-embed), and snapshots the IR text.
 /// The transforms propagate the IDs into their task functions as
 /// provenance metadata (CheckMetadata.h); checkModule re-parses the
 /// snapshot in a fresh context, rebuilds the Noelle abstractions over it
@@ -35,11 +35,11 @@ namespace verify {
 /// The pre-transform state checkModule audits against.
 struct PreTransformSnapshot {
   std::string IRText;    ///< printed module, IDs assigned, PDG embedded
-  uint64_t PDGEdges = 0; ///< edges embedded by noelle-pdg-embed
+  uint64_t PDGEdges = 0; ///< edges embedded by noelle-meta-pdg-embed
 };
 
 /// Prepares \p M for later checking: assigns deterministic IDs, embeds
-/// the PDG (noelle-pdg-embed), and captures the IR text. Must run before
+/// the PDG (noelle-meta-pdg-embed), and captures the IR text. Must run before
 /// the parallelizing transforms.
 PreTransformSnapshot captureForCheck(nir::Module &M);
 

@@ -1,6 +1,5 @@
 #include "verify/PlanCheck.h"
 
-#include "ir/IDs.h"
 #include "xforms/DOALL.h"
 #include "xforms/DSWP.h"
 #include "xforms/HELIX.h"
@@ -27,14 +26,10 @@ std::string entryLabel(const PlanEntry &E, size_t Idx) {
 /// contains the instruction carrying the entry's deterministic ID, in
 /// the named function.
 LoopContent *findLoop(Noelle &N, const PlanEntry &E) {
-  std::string Want = std::to_string(E.HeaderInstID);
   for (LoopContent *LC : N.getLoopContents()) {
     nir::LoopStructure &LS = LC->getLoopStructure();
-    if (LS.getFunction()->getName() != E.FunctionName)
-      continue;
-    const auto &Insts = LS.getHeader()->getInstList();
-    if (!Insts.empty() &&
-        Insts.front()->getMetadata(nir::InstIDKey) == Want)
+    if (LS.getFunction()->getName() == E.FunctionName &&
+        LS.getHeaderID() == E.HeaderInstID)
       return LC;
   }
   return nullptr;
@@ -82,8 +77,8 @@ CheckReport noelle::verify::checkPlan(nir::Module &M,
     Diagnostic D;
     D.Kind = DiagKind::PlanHashMismatch;
     D.Message = "plan was computed for a different module (plan hash " +
-                std::to_string(P.ModuleHash) + ", module hash " +
-                std::to_string(M.getContentHash()) + ")";
+                nir::formatArtifactHash(P.ModuleHash) + ", module hash " +
+                nir::formatArtifactHash(M.getContentHash()) + ")";
     Rep.add(std::move(D));
     return Rep; // nothing below is meaningful against other code
   }

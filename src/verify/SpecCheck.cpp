@@ -17,19 +17,6 @@ using nir::Instruction;
 
 namespace {
 
-uint64_t idOf(const nir::Value *V) {
-  std::string S = V->getMetadata(nir::InstIDKey);
-  if (S.empty())
-    return 0;
-  uint64_t N = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return 0;
-    N = N * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return N;
-}
-
 void report(CheckReport &Rep, DiagKind K, std::string Msg,
             const Instruction *Site, const std::string &InFn) {
   Diagnostic D;
@@ -121,8 +108,8 @@ void auditRecoveryPath(nir::Module &M, const TaskInfo &T,
 /// Premises against the evidence: the profile must have observed the
 /// loop without the speculated pair manifesting, and each premise must
 /// name a real loop-carried memory dependence of the snapshot PDG.
-void auditPremises(const TaskInfo &T, uint64_t Origin, bool HasProfile,
-                   const MemDepProfile &Profile, LoopContent *SnapLoop,
+void auditPremises(const TaskInfo &T, uint64_t Origin,
+                   const MemDepProfile *Profile, LoopContent *SnapLoop,
                    CheckReport &Rep) {
   auto Premises = parseSpecPremises(T.Fn);
   if (Premises.empty()) {
@@ -132,14 +119,14 @@ void auditPremises(const TaskInfo &T, uint64_t Origin, bool HasProfile,
            nullptr, T.Fn->getName());
     return;
   }
-  if (!HasProfile) {
+  if (!Profile) {
     report(Rep, DiagKind::SpecPremiseUnsupported,
-           "module carries no memory-dependence profile: the premises "
-           "have no evidence base",
+           "snapshot carries no current memory-dependence profile: the "
+           "premises have no evidence base",
            nullptr, T.Fn->getName());
     return;
   }
-  if (!Profile.coversLoop(Origin)) {
+  if (!Profile->coversLoop(Origin)) {
     report(Rep, DiagKind::SpecPremiseUnsupported,
            "the profile never observed loop " + std::to_string(Origin) +
                ": absence of dependences is not evidence here",
@@ -153,13 +140,14 @@ void auditPremises(const TaskInfo &T, uint64_t Origin, bool HasProfile,
     for (auto *E : SnapLoop->getLoopDG().getEdges()) {
       if (!E->IsLoopCarried || !E->IsMemory)
         continue;
-      uint64_t A = idOf(E->From), B = idOf(E->To);
+      uint64_t A = nir::instIDOf(E->From).value_or(0);
+      uint64_t B = nir::instIDOf(E->To).value_or(0);
       if (A && B)
         Edges.insert({A, B});
     }
 
   for (const auto &[A, B] : Premises) {
-    if (Profile.manifested(Origin, A, B))
+    if (Profile->manifested(Origin, A, B))
       report(Rep, DiagKind::SpecPremiseUnsupported,
              "premise " + std::to_string(A) + ":" + std::to_string(B) +
                  " is contradicted by the profile: the dependence "
@@ -179,23 +167,14 @@ void auditPremises(const TaskInfo &T, uint64_t Origin, bool HasProfile,
 void noelle::verify::checkSpeculation(
     nir::Module &M, Noelle &Snapshot,
     const std::vector<ParallelRegion> &Regions, CheckReport &Rep) {
-  // The profile travels in the transformed module's metadata; its hash
-  // binding is to the pre-transform code, which the transforms changed,
-  // so load leniently — staleness is the premise audit's job.
-  MemDepProfile Profile;
-  std::string ProfErr;
-  bool HasProfile =
-      MemDepProfile::fromModule(M, Profile, ProfErr,
-                                /*RequireHashMatch=*/false);
+  // The profile is bound to the pre-transform code, which the snapshot
+  // still is.
+  const MemDepProfile *Profile = Snapshot.getMemDepProfile();
 
   std::map<uint64_t, LoopContent *> ByOrigin;
-  for (LoopContent *LC : Snapshot.getLoopContents()) {
-    nir::LoopStructure &LS = LC->getLoopStructure();
-    if (LS.getHeader()->getInstList().empty())
-      continue;
-    if (uint64_t Id = idOf(LS.getHeader()->getInstList().front().get()))
+  for (LoopContent *LC : Snapshot.getLoopContents())
+    if (uint64_t Id = LC->getLoopStructure().getHeaderID().value_or(0))
       ByOrigin[Id] = LC;
-  }
 
   for (const ParallelRegion &R : Regions) {
     if (R.Kind != "doall-spec")
@@ -205,7 +184,7 @@ void noelle::verify::checkSpeculation(
     for (const TaskInfo &T : R.Tasks) {
       auditJournalCoverage(T, Rep);
       auditRecoveryPath(M, T, Rep);
-      auditPremises(T, R.Origin, HasProfile, Profile, SnapLoop, Rep);
+      auditPremises(T, R.Origin, Profile, SnapLoop, Rep);
     }
   }
 }

@@ -13,10 +13,10 @@
 ///     a sequential fallback clone that is present, tagged
 ///     "doall-spec-seq", and itself uninstrumented;
 ///   - the recorded premises are supported by the evidence: the task
-///     records at least one premise, the module carries a
-///     memory-dependence profile that observed the loop, no premise pair
-///     ever manifested in that profile, and every premise matches a
-///     loop-carried memory dependence of the pre-transform PDG.
+///     records at least one premise, the pre-transform snapshot carries
+///     a current memory-dependence profile that observed the loop, no
+///     premise pair ever manifested in that profile, and every premise
+///     matches a loop-carried memory dependence of the pre-transform PDG.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +35,8 @@ namespace verify {
 
 /// Audits the speculative regions of \p M (the transformed module)
 /// against \p Snapshot (the Noelle abstractions over the pre-transform
-/// snapshot, for the PDG) and the memory-dependence profile embedded in
-/// \p M. Regions of other kinds are ignored.
+/// snapshot, for the PDG and the memory-dependence profile). Regions of
+/// other kinds are ignored.
 void checkSpeculation(nir::Module &M, Noelle &Snapshot,
                       const std::vector<ParallelRegion> &Regions,
                       CheckReport &Rep);

@@ -3,10 +3,9 @@
 #include "ir/IDs.h"
 #include "ir/IRBuilder.h"
 #include "ir/Instructions.h"
+#include "noelle/MemDepProfiler.h"
 #include "runtime/ParallelRuntime.h"
 #include "verify/CheckMetadata.h"
-
-#include <cstdlib>
 
 using namespace noelle;
 using nir::BasicBlock;
@@ -19,56 +18,23 @@ using nir::LoadInst;
 using nir::StoreInst;
 using nir::Type;
 
-namespace {
-
-/// Deterministic ID of \p I (ir/IDs.h metadata), or 0 when absent.
-uint64_t idOf(const Instruction *I) {
-  std::string S = I->getMetadata(nir::InstIDKey);
-  if (S.empty())
-    return 0;
-  return std::strtoull(S.c_str(), nullptr, 10);
-}
-
-/// The profile's loop key: the ID of the header's first instruction
-/// (the same convention the profiler and task provenance use).
-uint64_t headerIdOf(nir::LoopStructure &LS) {
-  if (LS.getHeader()->getInstList().empty())
-    return 0;
-  return idOf(LS.getHeader()->getInstList().front().get());
-}
-
-} // namespace
-
-bool SpecDOALL::loadProfile() {
-  if (!ProfileLoaded) {
-    ProfileLoaded = true;
-    std::string Err;
-    // Lenient hash: by the time a speculative entry of a plan applies,
-    // earlier entries may have rewritten the module, so its content hash
-    // no longer matches the profile's binding. Staleness is pinned one
-    // level up — Planner::apply verified the plan hash against the
-    // pristine module before mutating anything.
-    ProfileValid = MemDepProfile::fromModule(N.getModule(), Profile, Err,
-                                             /*RequireHashMatch=*/false);
-  }
-  return ProfileValid;
-}
-
 Legality SpecDOALL::applicable(LoopContent &LC) {
   Legality L;
   nir::LoopStructure &LS = LC.getLoopStructure();
 
-  if (!loadProfile()) {
-    L.Reason = "no memory-dependence profile embedded in the module";
+  const MemDepProfile *Profile = N.getMemDepProfile();
+  if (!Profile) {
+    L.Reason = "no current memory-dependence profile embedded in the "
+               "module";
     return L;
   }
-  uint64_t H = headerIdOf(LS);
+  uint64_t H = LS.getHeaderID().value_or(0);
   if (!H) {
     L.Reason = "loop carries no deterministic IDs (run captureForCheck "
                "or pdgEmbed first)";
     return L;
   }
-  if (!Profile.coversLoop(H)) {
+  if (!Profile->coversLoop(H)) {
     L.Reason = "profile never observed this loop (no absence evidence)";
     return L;
   }
@@ -126,12 +92,13 @@ bool SpecDOALL::mayIgnoreCarriedDep(LoopContent &LC, const PDG::EdgeT &E,
   auto *To = nir::dyn_cast<Instruction>(E.To);
   if (!From || !To)
     return false;
-  uint64_t H = headerIdOf(LC.getLoopStructure());
-  uint64_t A = idOf(From);
-  uint64_t B = idOf(To);
-  if (!H || !A || !B)
+  const MemDepProfile *Profile = N.getMemDepProfile();
+  uint64_t H = LC.getLoopStructure().getHeaderID().value_or(0);
+  uint64_t A = nir::instIDOf(From).value_or(0);
+  uint64_t B = nir::instIDOf(To).value_or(0);
+  if (!Profile || !H || !A || !B)
     return false;
-  if (!Profile.coversLoop(H) || Profile.manifested(H, A, B))
+  if (!Profile->coversLoop(H) || Profile->manifested(H, A, B))
     return false;
   L.SpecPremises.push_back({A, B});
   return true;

@@ -3,7 +3,7 @@
 /// \file
 /// Profile-guided speculative DOALL. Parallelizes loops whose blocking
 /// loop-carried memory dependences were *never observed to manifest* in
-/// the embedded memory-dependence profile (noelle/MemDepProfiler.h):
+/// the module's memory-dependence profile (Noelle::getMemDepProfile):
 /// the static discharge is replaced by a runtime write-log/commit
 /// protocol. The task clone's loads and stores are routed through the
 /// noelle_spec_* journal accessors, an uninstrumented sequential clone
@@ -26,7 +26,6 @@
 #ifndef XFORMS_SPECDOALL_H
 #define XFORMS_SPECDOALL_H
 
-#include "noelle/MemDepProfiler.h"
 #include "xforms/DOALL.h"
 
 namespace noelle {
@@ -59,13 +58,6 @@ protected:
                                     const EnvLayout &Layout,
                                     ClonedLoopTask &Task) override;
 
-private:
-  /// Loads the embedded profile once per module transform session.
-  bool loadProfile();
-
-  bool ProfileLoaded = false;
-  bool ProfileValid = false;
-  MemDepProfile Profile;
 };
 
 /// Rewrites every load/store in \p TaskFn into the matching

@@ -11,7 +11,6 @@
 #include "ir/Parser.h"
 #include "noelle/Architecture.h"
 #include "noelle/DataFlow.h"
-#include "noelle/Noelle.h"
 #include "noelle/Profiler.h"
 
 #include <gtest/gtest.h>
@@ -159,36 +158,6 @@ TEST(ProfilerTest, CountsMatchExecution) {
   EXPECT_NEAR(P.getLoopAverageIterations(*L), 11.0, 0.01);
   EXPECT_GT(P.getLoopHotness(*L), 0.3);
   EXPECT_GT(P.getFunctionHotness(*Work), P.getLoopHotness(*L) - 0.01);
-}
-
-/// The trip count is the global n, so editing n's initializer changes
-/// both the content hash and the profile.
-const char *TripSrc = R"(
-  int n;
-  int main() {
-    int s = 0;
-    for (int i = 0; i < n; i = i + 1) s = s + i;
-    return s;
-  }
-)";
-
-TEST(ProfilerTest, StaleEmbeddedProfileIsIgnored) {
-  Context Ctx;
-  auto M = minic::compileMiniCOrDie(Ctx, TripSrc);
-  M->getGlobal("n")->setInitWords({10});
-  const ProfileData Old = Profiler::profileModule(*M);
-  Old.embed(*M);
-
-  M->getGlobal("n")->setInitWords({20});
-  EXPECT_TRUE(ProfileData::isEmbedded(*M));
-  EXPECT_FALSE(ProfileData::isCurrent(*M));
-  Noelle N(*M);
-  EXPECT_EQ(N.getProfiles(false), nullptr);
-  ProfileData *Fresh = N.getProfiles(true);
-  ASSERT_NE(Fresh, nullptr);
-  EXPECT_EQ(Fresh->getTotalInstructions(),
-            Profiler::profileModule(*M).getTotalInstructions());
-  EXPECT_GT(Fresh->getTotalInstructions(), Old.getTotalInstructions());
 }
 
 //===----------------------------------------------------------------------===//

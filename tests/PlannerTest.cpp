@@ -145,24 +145,6 @@ TEST(PlannerTest, SerializeRoundTripIsByteIdentical) {
   EXPECT_EQ(Text, Q.serialize());
 }
 
-TEST(PlannerTest, EmbedReloadRoundTrip) {
-  Context Ctx;
-  auto M = minic::compileMiniCOrDie(Ctx, ReductionSrc);
-  planner::ProgramPlan P = planFor(*M);
-
-  P.embed(*M);
-  planner::ProgramPlan Q;
-  std::string Err;
-  ASSERT_TRUE(planner::ProgramPlan::fromModule(*M, Q, Err)) << Err;
-  EXPECT_EQ(P, Q);
-  // Metadata does not feed the structural hash, so embedding must not
-  // invalidate the plan's own binding to the module.
-  EXPECT_EQ(P.ModuleHash, M->getContentHash());
-
-  planner::ProgramPlan::clean(*M);
-  EXPECT_FALSE(planner::ProgramPlan::fromModule(*M, Q, Err));
-}
-
 TEST(PlannerTest, CheckPlanRejectsDOALLOnLoopCarriedDependence) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, RecurrenceSrc);

@@ -3,10 +3,12 @@
 /// \file
 /// Property-style tests over the whole benchmark suite: IR round-trip
 /// stability, verifier cleanliness after every transformation, SCCDAG
-/// structural invariants, PDG metadata fidelity, and composition of
+/// structural invariants, pdg artifact fidelity, and composition of
 /// custom tools (LICM then DOALL then CARAT on one module).
 ///
 //===----------------------------------------------------------------------===//
+
+#include "PDGEdgeKeys.h"
 
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
@@ -79,10 +81,11 @@ TEST_P(SuiteProperty, PDGMetadataRoundTripsEdgeCount) {
   const bench::Benchmark *B = bench::findBenchmark(GetParam());
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B->Source);
-  tools::metaPDGEmbed(*M);
-  PDGBuilder Fresh(*M);
-  auto Rebuilt = tools::pdgFromMetadata(*M);
-  EXPECT_EQ(Rebuilt->getNumEdges(), Fresh.getPDG().getNumEdges()) << B->Name;
+  tools::pdgEmbed(*M);
+  auto M2 = nir::parseModuleOrDie(Ctx, M->str());
+  auto Loaded = PDG::loadEmbedded(*M2);
+  ASSERT_NE(Loaded, nullptr) << B->Name;
+  testutil::expectEqualsColdBuild(*M2, *Loaded);
 }
 
 TEST_P(SuiteProperty, ToolCompositionPreservesSemantics) {

@@ -40,25 +40,15 @@ using nir::ExecutionEngine;
 
 namespace {
 
-uint64_t idOf(const nir::Value *V) {
-  std::string S = V->getMetadata(nir::InstIDKey);
-  uint64_t N = 0;
-  for (char C : S)
-    N = N * 10 + static_cast<uint64_t>(C - '0');
-  return S.empty() ? 0 : N;
-}
-
 /// Header IDs (first instruction of each loop header) of every natural
 /// loop in \p M, sorted ascending — deterministic IDs follow program
 /// order, so source order is recoverable from the sort.
 std::vector<uint64_t> sortedLoopHeaderIDs(nir::Module &M) {
   std::vector<uint64_t> IDs;
   Noelle N(M);
-  for (LoopContent *LC : N.getLoopContents()) {
-    auto &Insts = LC->getLoopStructure().getHeader()->getInstList();
-    if (!Insts.empty())
-      IDs.push_back(idOf(Insts.front().get()));
-  }
+  for (LoopContent *LC : N.getLoopContents())
+    if (auto ID = LC->getLoopStructure().getHeaderID())
+      IDs.push_back(*ID);
   std::sort(IDs.begin(), IDs.end());
   return IDs;
 }
@@ -128,29 +118,6 @@ TEST(MemDepProfilerTest, SerializationRoundTripsByteIdentically) {
   EXPECT_EQ(Q.deps().size(), P.deps().size());
 }
 
-TEST(MemDepProfilerTest, EmbeddedProfileBindsToContentHash) {
-  Context Ctx;
-  auto M = minic::compileMiniCOrDie(Ctx, ProfilerSrc);
-  nir::assignDeterministicIDs(*M);
-  profileMemDeps(*M).embed(*M);
-  ASSERT_TRUE(MemDepProfile::isEmbedded(*M));
-
-  MemDepProfile P;
-  std::string Err;
-  EXPECT_TRUE(MemDepProfile::fromModule(*M, P, Err)) << Err;
-
-  // Change the module's content (an initializer participates in the
-  // hash): the strict load must refuse the now-stale binding, while the
-  // lenient load — for callers whose outer protocol pins staleness —
-  // still parses it.
-  M->getGlobal("a")->setInitWords({7});
-  MemDepProfile Stale;
-  EXPECT_FALSE(MemDepProfile::fromModule(*M, Stale, Err));
-  EXPECT_TRUE(MemDepProfile::fromModule(*M, Stale, Err,
-                                        /*RequireHashMatch=*/false))
-      << Err;
-}
-
 /// profileMemDeps embeds the block profile of its own run: on every
 /// suite kernel it equals a separate Profiler run, and planning after it
 /// observes @main no second time.
@@ -172,23 +139,24 @@ TEST(MemDepProfilerTest, OneRunEmbedsTheBlockProfile) {
     planner::Planner(N, PO).plan();
     EXPECT_EQ(ObservedRuns() - Before, 1u);
 
-    ASSERT_TRUE(ProfileData::isCurrent(*M));
-    const ProfileData Embedded = ProfileData::fromMetadata(*M);
+    const auto Embedded = ProfileData::loadEmbedded(*M);
+    ASSERT_NE(Embedded, nullptr);
     const ProfileData Fresh = Profiler::profileModule(*M);
-    EXPECT_EQ(Embedded.getTotalInstructions(), Fresh.getTotalInstructions());
+    EXPECT_EQ(Embedded->getTotalInstructions(),
+              Fresh.getTotalInstructions());
     for (const auto &F : M->getFunctions()) {
-      EXPECT_EQ(Embedded.getFunctionInvocations(F.get()),
+      EXPECT_EQ(Embedded->getFunctionInvocations(F.get()),
                 Fresh.getFunctionInvocations(F.get()))
           << F->getName();
       for (const auto &BB : F->getBlocks()) {
-        EXPECT_EQ(Embedded.getBlockCount(BB.get()),
+        EXPECT_EQ(Embedded->getBlockCount(BB.get()),
                   Fresh.getBlockCount(BB.get()));
         const auto *Br =
             nir::dyn_cast_or_null<nir::BranchInst>(BB->getTerminator());
         if (!Br || !Br->isConditional())
           continue;
         for (unsigned S = 0; S < 2; ++S) {
-          EXPECT_EQ(Embedded.getBranchTakenCount(Br, S),
+          EXPECT_EQ(Embedded->getBranchTakenCount(Br, S),
                     Fresh.getBranchTakenCount(Br, S));
         }
       }
@@ -326,6 +294,27 @@ TEST(SpeculationTest, SeededMisspeculationDetectsAndRollsBack) {
       << "rollback must reproduce the sequential result";
   EXPECT_EQ(R.Out, Seq.Out)
       << "rollback must reproduce the sequential output byte for byte";
+}
+
+/// Regression: a profile collected before a code edit must not drive
+/// speculative planning. Profiled with mode == 0, the data[] dependences
+/// never manifested; with mode == 1 they manifest on every invocation,
+/// so premises admitted from the stale profile misspeculate every time.
+/// The planner must ignore the stale profile and plan what a fresh
+/// profile supports: nothing.
+TEST(SpeculationTest, StaleProfileDrivesNoSpeculation) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, SeededSrc);
+  profileMemDeps(*M).embed(*M);
+  M->getGlobal("mode")->setInitWords({1});
+
+  Noelle N(*M);
+  EXPECT_EQ(N.getMemDepProfile(), nullptr);
+  planner::PlannerOptions PO;
+  PO.EnableSpeculation = true;
+  planner::ProgramPlan Plan = planner::Planner(N, PO).plan();
+  EXPECT_TRUE(Plan.Entries.empty()) << Plan.serialize();
+  EXPECT_TRUE(verify::checkPlan(*M, Plan).clean());
 }
 
 // ---------------------------------------------------------------------------

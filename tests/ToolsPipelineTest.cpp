@@ -2,12 +2,16 @@
 ///
 /// \file
 /// Integration tests of the noelle-* tool layer: the Figure-1 pipeline
-/// (whole-IR -> profile -> embed -> rm-lc-deps -> pdg-embed -> load ->
-/// transform -> bin) end to end.
+/// (whole-IR -> profile -> embed -> rm-lc-deps -> meta-pdg-embed -> load
+/// -> transform -> bin) end to end.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PDGEdgeKeys.h"
+
 #include "ir/Parser.h"
+#include "noelle/MemDepProfiler.h"
+#include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
 #include "tools/NoelleTools.h"
 #include "xforms/HELIX.h"
@@ -48,19 +52,13 @@ TEST(ToolsTest, ProfileEmbedRoundTrip) {
   ASSERT_NE(M, nullptr) << Error;
   auto P = tools::profCoverage(*M);
   EXPECT_GT(P.getTotalInstructions(), 0u);
-  const uint64_t Hash = M->getContentHash();
   tools::metaProfEmbed(*M, P);
-  // Embedding is metadata, so it leaves the content hash it binds to
-  // unchanged.
-  EXPECT_EQ(M->getContentHash(), Hash);
 
-  // Print + reparse: the profile must survive, still bound to the code.
+  // Print + reparse: the profile must survive.
   auto M2 = nir::parseModuleOrDie(Ctx, M->str());
-  EXPECT_EQ(M2->getContentHash(), Hash);
-  EXPECT_TRUE(ProfileData::isEmbedded(*M2));
-  EXPECT_TRUE(ProfileData::isCurrent(*M2));
-  auto P2 = ProfileData::fromMetadata(*M2);
-  EXPECT_EQ(P2.getTotalInstructions(), P.getTotalInstructions());
+  auto P2 = ProfileData::loadEmbedded(*M2);
+  ASSERT_NE(P2, nullptr);
+  EXPECT_EQ(P2->getTotalInstructions(), P.getTotalInstructions());
   Noelle N(*M2);
   ProfileData *Loaded = N.getProfiles(false);
   ASSERT_NE(Loaded, nullptr);
@@ -84,33 +82,52 @@ TEST(ToolsTest, PDGEmbedAndReconstruct) {
                           Error);
   ASSERT_NE(M, nullptr) << Error;
 
-  tools::metaPDGEmbed(*M);
-  ASSERT_TRUE(tools::hasPDGMetadata(*M));
+  uint64_t Edges = tools::pdgEmbed(*M);
+  ASSERT_GT(Edges, 0u);
 
-  // Fresh PDG vs reconstructed-from-metadata PDG: same edge count.
-  PDGBuilder Fresh(*M);
-  uint64_t FreshEdges = Fresh.getPDG().getNumEdges();
-  auto Rebuilt = tools::pdgFromMetadata(*M);
-  EXPECT_EQ(Rebuilt->getNumEdges(), FreshEdges);
-
-  // And it survives serialization.
+  // The pdg record survives serialization, and the graph it loads is
+  // the graph a cold build computes.
   auto M2 = nir::parseModuleOrDie(Ctx, M->str());
-  ASSERT_TRUE(tools::hasPDGMetadata(*M2));
-  auto Rebuilt2 = tools::pdgFromMetadata(*M2);
-  EXPECT_EQ(Rebuilt2->getNumEdges(), FreshEdges);
+  auto Loaded = PDG::loadEmbedded(*M2);
+  ASSERT_NE(Loaded, nullptr);
+  EXPECT_EQ(Loaded->getNumEdges(), Edges);
+  testutil::expectEqualsColdBuild(*M2, *Loaded);
 }
 
 TEST(ToolsTest, MetaCleanStripsEverything) {
   Context Ctx;
   std::string Error;
-  auto M = tools::wholeIR(Ctx, {"int main() { return 7; }"}, Error);
+  auto M = tools::wholeIR(Ctx, {R"(
+    int a[64];
+    int main() {
+      for (int i = 0; i < 64; i = i + 1) a[i] = i * 3;
+      int s = 0;
+      for (int i = 0; i < 64; i = i + 1) s = s + a[i];
+      return s;
+    }
+  )"},
+                          Error);
   ASSERT_NE(M, nullptr) << Error;
-  auto P = tools::profCoverage(*M);
-  tools::metaProfEmbed(*M, P);
-  tools::metaPDGEmbed(*M);
+  // All four artifact kinds: the block profile comes with the memdep
+  // profile's run.
+  profileMemDeps(*M).embed(*M);
+  tools::pdgEmbed(*M);
+  Noelle N(*M);
+  planner::Planner(N).plan().embed(*M);
+
   tools::metaClean(*M);
-  EXPECT_FALSE(tools::hasPDGMetadata(*M));
-  EXPECT_FALSE(ProfileData::isEmbedded(*M));
+  EXPECT_EQ(PDG::loadEmbedded(*M), nullptr);
+  EXPECT_EQ(ProfileData::loadEmbedded(*M), nullptr);
+  MemDepProfile MemDep;
+  planner::ProgramPlan Plan;
+  EXPECT_FALSE(MemDepProfile::fromModule(*M, MemDep, Error));
+  EXPECT_FALSE(planner::ProgramPlan::fromModule(*M, Plan, Error));
+  // Only the compilation options makeBinary reads stay.
+  std::vector<std::string> Left;
+  for (const auto &[K, V] : M->getAllModuleMetadata())
+    Left.push_back(K);
+  EXPECT_EQ(Left, (std::vector<std::string>{"noelle.link.runtime",
+                                            "noelle.opt.level"}));
   // No noelle.* metadata may remain on any instruction.
   for (const auto &F : M->getFunctions())
     for (const auto &BB : F->getBlocks())
@@ -149,7 +166,7 @@ TEST(ToolsTest, Figure1PipelineEndToEnd) {
   tools::metaClean(*M);
   auto P2 = tools::profCoverage(*M);
   tools::metaProfEmbed(*M, P2);
-  tools::metaPDGEmbed(*M);
+  tools::pdgEmbed(*M);
 
   auto Arch = tools::archDescribe(false);
   auto N = tools::load(*M);

@@ -17,9 +17,9 @@
 ///   --speculate          let the planner consider profile-guided
 ///                        speculative DOALL: a memory-dependence profile
 ///                        is collected (by running main()) and embedded
-///                        when the module carries none, speculative
-///                        candidates join the enumeration, and the
-///                        post-transform audit includes the
+///                        unless the module carries a current one,
+///                        speculative candidates join the enumeration,
+///                        and the post-transform audit includes the
 ///                        --speculative checks
 ///   --technique=K        skip the planner: force doall|helix|dswp|
 ///                        spec-doall on every eligible loop (the legacy
@@ -218,11 +218,14 @@ int main(int Argc, char **Argv) {
     opt::runPipeline(*M);
 
   // Speculation (planner enumeration or a forced spec-doall sweep) needs
-  // the memory-dependence profile. Collect and embed it before the
-  // snapshot: embedding is hash-neutral, and the IDs it is keyed by are
-  // the same ones captureForCheck assigns.
+  // a memory-dependence profile of this code. Collect and embed one
+  // before the snapshot unless the module carries a current one:
+  // embedding is hash-neutral, and the IDs it is keyed by are the same
+  // ones captureForCheck assigns.
   bool WantSpec = O.Speculate || O.ForcedTechnique == "spec-doall";
-  if (WantSpec && !MemDepProfile::isEmbedded(*M))
+  MemDepProfile Embedded;
+  std::string NoProfile;
+  if (WantSpec && !MemDepProfile::fromModule(*M, Embedded, NoProfile))
     profileMemDeps(*M).embed(*M);
 
   // Snapshot before anything mutates code: the audit's ground truth,

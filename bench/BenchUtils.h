@@ -2,10 +2,8 @@
 ///
 /// \file
 /// Shared helpers for the table/figure reproduction harnesses: LoC
-/// counting over the source tree, table formatting, and the
-/// instruction-level performance model used for Figure 5 (see DESIGN.md
-/// §5 — the evaluation host is single-core, so speedups come from
-/// per-task retired-instruction accounting, not wall clock).
+/// counting over the source tree, table formatting, where BENCH_*.json
+/// files go, and the Figure-5 modeled time of a run (DESIGN.md §6b).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +11,7 @@
 #define BENCH_BENCHUTILS_H
 
 #include "interp/Interpreter.h"
+#include "xforms/ParallelizationTechnique.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -62,6 +61,12 @@ inline uint64_t countLoC(const std::string &RelDir,
   return Total;
 }
 
+/// Where every bench writes its BENCH_*.json: the build tree's bench/
+/// directory.
+inline std::string outputPath(const std::string &Name) {
+  return std::string(NOELLE_BENCH_OUTPUT_DIR) + "/" + Name;
+}
+
 /// Simple fixed-width table printing.
 inline void printRow(const std::vector<std::string> &Cells,
                      const std::vector<int> &Widths) {
@@ -83,37 +88,11 @@ inline void printSeparator(const std::vector<int> &Widths) {
   std::printf("%s\n", Line.c_str());
 }
 
-//===----------------------------------------------------------------------===//
-// The Figure-5 performance model.
-//===----------------------------------------------------------------------===//
-
-struct PerfModel {
-  /// Instructions charged per task spawn/join in a dispatch.
-  uint64_t SpawnCostPerTask = 500;
-  /// Instructions charged per synchronization op on the critical path
-  /// (ss-wait or queue op; derived from core-to-core latency at ~10
-  /// interpreted instructions per 100ns).
-  uint64_t SyncCost = 20;
-};
-
-/// Simulated execution time (in instruction units) of a program run:
-/// serial work runs as-is; each parallel region contributes its critical
-/// path: max over tasks, but never less than the serialized segment work
-/// (HELIX's bound), plus spawn and sync costs.
-inline uint64_t simulatedTime(const nir::ExecutionEngine &E,
-                              const PerfModel &M = {}) {
-  uint64_t Total = E.getInstructionsExecuted();
-  uint64_t TaskTotal = 0;
-  uint64_t Critical = 0;
-  for (const auto &R : E.getDispatchRecords()) {
-    TaskTotal += R.TotalTaskInstructions;
-    uint64_t Region =
-        std::max(R.MaxTaskInstructions + R.MaxTaskSyncOps * M.SyncCost,
-                 R.TotalSegmentInstructions);
-    Region += R.NumTasks * M.SpawnCostPerTask;
-    Critical += Region;
-  }
-  return Total - TaskTotal + Critical;
+/// Modeled execution time (in instruction units) of a program run under
+/// the Figure-5 performance model (noelle::perfmodel).
+inline uint64_t simulatedTime(const nir::ExecutionEngine &E) {
+  return noelle::perfmodel::runTime(E.getInstructionsExecuted(),
+                                    E.getDispatchRecords());
 }
 
 } // namespace benchutil

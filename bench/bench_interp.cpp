@@ -8,7 +8,7 @@
 /// one-opcode-per-instruction decode (the pre-overhaul reference shape),
 /// the observed tier with a profiling observer installed, and the
 /// NIR optimizer pipeline (inline/GVN/DCE/LICM/unroll/SLP) feeding both
-/// dispatch tiers. Emits BENCH_interp.json (at the repo root) with
+/// dispatch tiers. Emits BENCH_interp.json (benchutil::outputPath) with
 /// per-kernel cold and warm numbers plus two geomeans: the dispatch
 /// improvement of the default configuration over the reference, and the
 /// end-to-end improvement of pipeline+threaded over the reference.
@@ -27,6 +27,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "interp/Interpreter.h"
@@ -37,7 +38,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -272,9 +272,7 @@ int main(int argc, char **argv) {
               Pass ? "pass" : "FAIL (want dispatch >= 1.5x and pipeline to "
                               "add on top)");
 
-  const std::string JsonPath =
-      (std::filesystem::path(NOELLE_REPRO_SOURCE_DIR) / "BENCH_interp.json")
-          .string();
+  const std::string JsonPath = benchutil::outputPath("BENCH_interp.json");
   if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fprintf(F,
                  "{\n  \"threaded_dispatch\": %s,\n  \"smoke\": %s,\n"

@@ -11,7 +11,7 @@
 /// produce the same return value and byte-identical output as the
 /// unoptimized run; any divergence is a hard failure.
 ///
-/// Emits BENCH_opt.json at the repo root with per-kernel per-config
+/// Emits BENCH_opt.json (benchutil::outputPath) with per-kernel per-config
 /// retired counts and the geomean retired-count reduction of the full
 /// pipeline (plus each ablation) over the unoptimized baseline.
 ///
@@ -20,6 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "interp/Interpreter.h"
@@ -30,7 +31,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -158,9 +158,7 @@ int main(int argc, char **argv) {
                 (Geo[1] / Geo[C] - 1.0) * 100.0);
 
   const bool Pass = Geo[1] > 1.0; // the full pipeline must actually help
-  const std::string JsonPath =
-      (std::filesystem::path(NOELLE_REPRO_SOURCE_DIR) / "BENCH_opt.json")
-          .string();
+  const std::string JsonPath = benchutil::outputPath("BENCH_opt.json");
   if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fprintf(F, "{\n  \"smoke\": %s,\n  \"kernels\": [\n",
                  Smoke ? "true" : "false");

@@ -13,15 +13,14 @@
 /// "whole_suite" entry; being the largest program, it anchors the
 /// cache-speedup acceptance check.
 ///
-/// Note the evaluation host is single-core, so the parallel build's
-/// wall-clock is the serial work plus coordination overhead (the
-/// interesting number there is that it stays close to serial while the
-/// graphs stay bit-identical — PDGCacheTest proves identity). The
-/// embedded-cache speedup is core-count independent: loading skips the
-/// Andersen solve and the O(n^2) alias queries entirely.
+/// The parallel build's graphs stay bit-identical to the serial build's
+/// (PDGCacheTest proves identity). The embedded-cache speedup is
+/// core-count independent: loading skips the Andersen solve and the
+/// O(n^2) alias queries entirely.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "ir/Parser.h"
@@ -223,7 +222,8 @@ int main() {
               static_cast<unsigned long long>(Largest->Instructions),
               Largest->CacheSpeedupVsSerial, Pass ? "pass (>=5x)" : "FAIL");
 
-  if (FILE *F = std::fopen("BENCH_pdg.json", "w")) {
+  const std::string JsonPath = benchutil::outputPath("BENCH_pdg.json");
+  if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fprintf(F, "{\n  \"kernels\": [\n");
     for (size_t I = 0; I < Results.size(); ++I) {
       const auto &R = Results[I];
@@ -247,7 +247,7 @@ int main() {
                  Largest->Name.c_str(), Largest->CacheSpeedupVsSerial,
                  Pass ? "true" : "false");
     std::fclose(F);
-    std::printf("wrote BENCH_pdg.json\n");
+    std::printf("wrote %s\n", JsonPath.c_str());
   }
   return Pass ? 0 : 1;
 }

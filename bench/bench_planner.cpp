@@ -178,10 +178,11 @@ int main(int Argc, char **Argv) {
                 "  \"plans_audit_clean\": %u\n}\n",
                 Within10, Kernels, AuditClean);
   JSON += Tail;
-  if (FILE *F = std::fopen("BENCH_planner.json", "w")) {
+  const std::string JsonPath = benchutil::outputPath("BENCH_planner.json");
+  if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fputs(JSON.c_str(), F);
     std::fclose(F);
-    std::printf("wrote BENCH_planner.json\n");
+    std::printf("wrote %s\n", JsonPath.c_str());
   }
 
   if (Smoke) {

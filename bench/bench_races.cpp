@@ -29,12 +29,10 @@
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "noelle/Noelle.h"
+#include "planner/Planner.h"
 #include "verify/NoelleCheck.h"
 #include "verify/RaceDetector.h"
 #include "verify/TaskModel.h"
-#include "xforms/DOALL.h"
-#include "xforms/DSWP.h"
-#include "xforms/HELIX.h"
 
 #include <chrono>
 #include <cstdio>
@@ -76,23 +74,10 @@ TransformedModule transformKernel(const bench::Benchmark &B,
   T.M = minic::compileMiniCOrDie(*T.Ctx, B.Source);
   T.Snap = verify::captureForCheck(*T.M);
   Noelle N(*T.M);
-  if (Which == "doall") {
-    DOALL Tool(N);
-    for (const auto &D : Tool.run())
-      T.Parallelized += D.Parallelized;
-  } else if (Which == "helix") {
-    HELIXOptions O;
-    O.MinimumEstimatedSpeedup = 0;
-    HELIX Tool(N, O);
-    for (const auto &D : Tool.run())
-      T.Parallelized += D.Parallelized;
-  } else {
-    DSWPOptions O;
-    O.MinimumStageWeight = 0;
-    DSWP Tool(N, O);
-    for (const auto &D : Tool.run())
-      T.Parallelized += D.Parallelized;
-  }
+  TechniqueKind K = TechniqueKind::DOALL;
+  techniqueFromName(Which, K);
+  for (const auto &D : planner::makeTechnique(K, N, 4)->run())
+    T.Parallelized += D.Parallelized;
   return T;
 }
 
@@ -263,10 +248,11 @@ int main(int Argc, char **Argv) {
       (unsigned long long)StructHBFall,
       (unsigned long long)StructLegacyFall, GroundedDirty);
   JSON += Tail;
-  if (FILE *F = std::fopen("BENCH_races.json", "w")) {
+  const std::string JsonPath = benchutil::outputPath("BENCH_races.json");
+  if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fputs(JSON.c_str(), F);
     std::fclose(F);
-    std::printf("wrote BENCH_races.json\n");
+    std::printf("wrote %s\n", JsonPath.c_str());
   }
 
   if (Smoke) {

@@ -221,7 +221,8 @@ int main() {
               "spawn-per-region: %s\n",
               Pass ? "yes" : "NO");
 
-  if (FILE *F = std::fopen("BENCH_runtime.json", "w")) {
+  const std::string JsonPath = benchutil::outputPath("BENCH_runtime.json");
+  if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fprintf(F,
                  "{\n"
                  "  \"interpreter_floor_ns\": %.0f,\n"
@@ -237,7 +238,7 @@ int main() {
                  SpeedupChunked, Mips,
                  static_cast<unsigned long long>(PoolThreads));
     std::fclose(F);
-    std::printf("wrote BENCH_runtime.json\n");
+    std::printf("wrote %s\n", JsonPath.c_str());
   }
   return Pass ? 0 : 1;
 }

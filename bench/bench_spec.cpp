@@ -236,10 +236,11 @@ int main(int Argc, char **Argv) {
                 Kernels, SpeculatedKernels, SpecWithin10, Geomean,
                 (unsigned long long)TotalMisspecs, AuditClean);
   JSON += Tail;
-  if (FILE *F = std::fopen("BENCH_spec.json", "w")) {
+  const std::string JsonPath = benchutil::outputPath("BENCH_spec.json");
+  if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fputs(JSON.c_str(), F);
     std::fclose(F);
-    std::printf("wrote BENCH_spec.json\n");
+    std::printf("wrote %s\n", JsonPath.c_str());
   }
 
   if (Smoke) {

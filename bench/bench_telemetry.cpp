@@ -24,11 +24,12 @@
 /// Mode::Off) backs the kernel-level numbers. Gates: disabled geomean
 /// within 1%, metrics geomean within 10% (the paper-facing "≤1%
 /// disabled / ≤10% enabled" claim); `--smoke` widens both for noisy CI
-/// hosts and drops to two repetitions. Writes BENCH_telemetry.json to
-/// the repo root.
+/// hosts and drops to two repetitions. Writes BENCH_telemetry.json
+/// (benchutil::outputPath).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "interp/Interpreter.h"
@@ -42,7 +43,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -194,10 +194,7 @@ int main(int argc, char **argv) {
               DisabledGeo, DisabledGate, MetricsGeo, MetricsGate, TraceGeo,
               Pass ? "pass" : "FAIL");
 
-  const std::string JsonPath =
-      (std::filesystem::path(NOELLE_REPRO_SOURCE_DIR) /
-       "BENCH_telemetry.json")
-          .string();
+  const std::string JsonPath = benchutil::outputPath("BENCH_telemetry.json");
   if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
     std::fprintf(F,
                  "{\n  \"smoke\": %s,\n"

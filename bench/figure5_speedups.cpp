@@ -6,12 +6,12 @@
 /// auto-parallelization baselines on the PARSEC- and MiBench-like
 /// benchmarks, relative to the sequential ("clang -O3") build.
 ///
-/// Speedups use the instruction-level performance model (DESIGN.md §5):
-/// the evaluation host is single-core, so "time" is serial retired
-/// instructions plus each parallel region's critical path (max per-task
-/// work, bounded below by serialized segment work, plus spawn and sync
-/// costs). Every transformed binary is also checked for result
-/// equivalence against the sequential run.
+/// Speedups use the instruction-level performance model (perfmodel,
+/// DESIGN.md §6b): "time" is serial retired instructions plus each
+/// parallel region's critical path (max per-task work, bounded below by
+/// serialized segment work, plus spawn and sync costs). Every
+/// transformed binary is also checked for result equivalence against
+/// the sequential run.
 ///
 /// Shape to reproduce: gcc/icc flat at ~1.0x, NOELLE tools above 1x on
 /// the parallel-friendly kernels, and nobody wins on crc.
@@ -24,9 +24,6 @@
 #include "frontend/MiniC.h"
 #include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
-#include "xforms/DOALL.h"
-#include "xforms/DSWP.h"
-#include "xforms/HELIX.h"
 
 #include <cstdio>
 #include <functional>
@@ -68,6 +65,17 @@ measure(const bench::Benchmark &B, int64_t ExpectedResult,
   Out.Speedup =
       static_cast<double>(BaselineInstrs) / static_cast<double>(Sim);
   return Out;
+}
+
+/// The technique-forced sweep of \p K under the paper's per-tool gates.
+std::function<unsigned(nir::Module &)> sweep(TechniqueKind K) {
+  return [K](nir::Module &M) {
+    Noelle N(M);
+    unsigned Count = 0;
+    for (const auto &D : createTechnique(K, N, Cores)->run())
+      Count += D.Parallelized;
+    return Count;
+  };
 }
 
 std::string fmt(const Measurement &M) {
@@ -118,38 +126,11 @@ int main() {
       return N;
     });
     Measurement Doall =
-        measure(B, Expected, BaselineInstrs, [](nir::Module &M) {
-          Noelle N(M);
-          DOALLOptions O;
-          O.NumCores = Cores;
-          DOALL T(N, O);
-          unsigned K = 0;
-          for (const auto &D : T.run())
-            K += D.Parallelized;
-          return K;
-        });
+        measure(B, Expected, BaselineInstrs, sweep(TechniqueKind::DOALL));
     Measurement Helix =
-        measure(B, Expected, BaselineInstrs, [](nir::Module &M) {
-          Noelle N(M);
-          HELIXOptions O;
-          O.NumCores = Cores;
-          HELIX T(N, O);
-          unsigned K = 0;
-          for (const auto &D : T.run())
-            K += D.Parallelized;
-          return K;
-        });
+        measure(B, Expected, BaselineInstrs, sweep(TechniqueKind::HELIX));
     Measurement Dswp =
-        measure(B, Expected, BaselineInstrs, [](nir::Module &M) {
-          Noelle N(M);
-          DSWPOptions O;
-          O.NumCores = Cores;
-          DSWP T(N, O);
-          unsigned K = 0;
-          for (const auto &D : T.run())
-            K += D.Parallelized;
-          return K;
-        });
+        measure(B, Expected, BaselineInstrs, sweep(TechniqueKind::DSWP));
 
     // The free planner: picks technique + worker count per loop from
     // the same cost model the figure's columns are measured by.

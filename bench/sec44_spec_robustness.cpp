@@ -14,8 +14,7 @@
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "runtime/ParallelRuntime.h"
-#include "xforms/DOALL.h"
-#include "xforms/HELIX.h"
+#include "xforms/ParallelizationTechnique.h"
 
 #include <cstdio>
 
@@ -59,20 +58,14 @@ int main() {
       baselines::ConservativeParallelizer T(M, O);
       T.run();
     });
-    auto [DoallS, DoallOK] = Measure([&](nir::Module &M) {
-      Noelle N(M);
-      DOALLOptions O;
-      O.NumCores = Cores;
-      DOALL T(N, O);
-      T.run();
-    });
-    auto [HelixS, HelixOK] = Measure([&](nir::Module &M) {
-      Noelle N(M);
-      HELIXOptions O;
-      O.NumCores = Cores;
-      HELIX T(N, O);
-      T.run();
-    });
+    auto Sweep = [&](TechniqueKind K) {
+      return Measure([&](nir::Module &M) {
+        Noelle N(M);
+        createTechnique(K, N, Cores)->run();
+      });
+    };
+    auto [DoallS, DoallOK] = Sweep(TechniqueKind::DOALL);
+    auto [HelixS, HelixOK] = Sweep(TechniqueKind::HELIX);
 
     bool OK = GccOK && DoallOK && HelixOK;
     AnyWrong |= !OK;

@@ -12,12 +12,10 @@
 #include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
+#include "planner/Planner.h"
 #include "xforms/CARAT.h"
 #include "xforms/COOS.h"
-#include "xforms/DOALL.h"
-#include "xforms/DSWP.h"
 #include "xforms/DeadFunctionEliminator.h"
-#include "xforms/HELIX.h"
 #include "xforms/LICM.h"
 #include "xforms/Perspective.h"
 #include "xforms/PRVJeeves.h"
@@ -74,16 +72,12 @@ int main() {
   std::vector<std::pair<std::string, std::set<std::string>>> Usage;
 
   Usage.push_back({"HELIX", requestsOf([](Noelle &N) {
-                     HELIXOptions O;
-                     O.MinimumEstimatedSpeedup = 0;
-                     HELIX T(N, O);
-                     T.run();
+                     planner::makeTechnique(TechniqueKind::HELIX, N, 4)
+                         ->run();
                    })});
   Usage.push_back({"DSWP", requestsOf([](Noelle &N) {
-                     DSWPOptions O;
-                     O.MinimumStageWeight = 0;
-                     DSWP T(N, O);
-                     T.run();
+                     planner::makeTechnique(TechniqueKind::DSWP, N, 4)
+                         ->run();
                    })});
   Usage.push_back({"CARAT", requestsOf([](Noelle &N) {
                      CARAT T(N);
@@ -98,8 +92,8 @@ int main() {
                      T.run();
                    })});
   Usage.push_back({"DOALL", requestsOf([](Noelle &N) {
-                     DOALL T(N);
-                     T.run();
+                     planner::makeTechnique(TechniqueKind::DOALL, N, 4)
+                         ->run();
                    })});
   Usage.push_back({"LICM", requestsOf([](Noelle &N) {
                      LICM T(N);

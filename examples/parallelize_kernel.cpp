@@ -13,9 +13,7 @@
 
 #include "frontend/MiniC.h"
 #include "runtime/ParallelRuntime.h"
-#include "xforms/DOALL.h"
-#include "xforms/DSWP.h"
-#include "xforms/HELIX.h"
+#include "xforms/ParallelizationTechnique.h"
 
 #include <cstdio>
 
@@ -41,17 +39,6 @@ const char *Kernel = R"(
   }
 )";
 
-uint64_t simulatedTime(const nir::ExecutionEngine &E) {
-  uint64_t Total = E.getInstructionsExecuted();
-  uint64_t TaskTotal = 0, Critical = 0;
-  for (const auto &R : E.getDispatchRecords()) {
-    TaskTotal += R.TotalTaskInstructions;
-    Critical += std::max(R.MaxTaskInstructions, R.TotalSegmentInstructions) +
-                R.NumTasks * 500;
-  }
-  return Total - TaskTotal + Critical;
-}
-
 } // namespace
 
 int main() {
@@ -74,7 +61,8 @@ int main() {
     nir::ExecutionEngine E(M);
     registerParallelRuntime(E);
     int64_t R = E.runMain();
-    uint64_t Sim = simulatedTime(E);
+    uint64_t Sim =
+        perfmodel::runTime(E.getInstructionsExecuted(), E.getDispatchRecords());
     std::printf("%-6s: %u loop(s) parallelized, result=%lld (%s), modeled "
                 "speedup %.2fx\n",
                 Name, Parallelized, static_cast<long long>(R),
@@ -87,11 +75,8 @@ int main() {
     nir::Context Ctx;
     auto M = minic::compileMiniCOrDie(Ctx, Kernel);
     Noelle N(*M);
-    DOALLOptions O;
-    O.NumCores = 4;
-    DOALL T(N, O);
     unsigned K = 0;
-    for (const auto &D : T.run()) {
+    for (const auto &D : createTechnique(TechniqueKind::DOALL, N, 4)->run()) {
       if (D.Parallelized)
         ++K;
       else
@@ -104,11 +89,8 @@ int main() {
     nir::Context Ctx;
     auto M = minic::compileMiniCOrDie(Ctx, Kernel);
     Noelle N(*M);
-    HELIXOptions O;
-    O.NumCores = 4;
-    HELIX T(N, O);
     unsigned K = 0;
-    for (const auto &D : T.run())
+    for (const auto &D : createTechnique(TechniqueKind::HELIX, N, 4)->run())
       K += D.Parallelized;
     Report("HELIX", *M, K);
   }
@@ -116,11 +98,8 @@ int main() {
     nir::Context Ctx;
     auto M = minic::compileMiniCOrDie(Ctx, Kernel);
     Noelle N(*M);
-    DSWPOptions O;
-    O.NumCores = 2;
-    DSWP T(N, O);
     unsigned K = 0;
-    for (const auto &D : T.run())
+    for (const auto &D : createTechnique(TechniqueKind::DSWP, N, 2)->run())
       K += D.Parallelized;
     Report("DSWP", *M, K);
   }

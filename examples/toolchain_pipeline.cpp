@@ -13,8 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Parser.h"
+#include "planner/Planner.h"
 #include "tools/NoelleTools.h"
-#include "xforms/HELIX.h"
 
 #include <cstdio>
 
@@ -99,11 +99,10 @@ int main() {
 
   std::printf("[8] noelle-load + HELIX transformation\n");
   auto N = tools::load(*M);
-  HELIXOptions HO;
-  HO.NumCores = 4;
-  HO.MinimumEstimatedSpeedup = 0; // demo: always transform
-  HELIX Tool(*N, HO);
-  for (const auto &D : Tool.run())
+  // The planner's factory: no profitability gate, so the demo always
+  // transforms.
+  for (const auto &D :
+       planner::makeTechnique(TechniqueKind::HELIX, *N, 4)->run())
     std::printf("    @%s loop %u: %s%s%s\n", D.FunctionName.c_str(),
                 D.LoopID,
                 D.Parallelized ? "parallelized" : "skipped",

@@ -97,9 +97,9 @@ using ExternalFn =
     std::function<RuntimeValue(ExecutionEngine &, const CallInst *,
                                const std::vector<RuntimeValue> &)>;
 
-/// Per-parallel-region accounting used by the performance model (the
-/// evaluation host may have a single core, so Figure-5 speedups are
-/// computed from per-task instruction counts rather than wall clock).
+/// Per-parallel-region accounting: the input of the Figure-5
+/// performance model (perfmodel in xforms/ParallelizationTechnique.h),
+/// which computes speedups from per-task instruction counts.
 struct DispatchRecord {
   uint64_t NumTasks = 0;
   uint64_t MaxTaskInstructions = 0;   ///< critical path of the region
@@ -134,13 +134,8 @@ public:
     /// opcodes, GEP flattening, phi edge-move sequentialization, and
     /// superinstruction fusion. Off decodes one opcode per NIR
     /// instruction (the reference shape); results, output, and retired-
-    /// instruction counts are identical either way. The compile-time
-    /// default flips with -DNOELLE_INTERP_NOOPT=ON.
-#ifdef NOELLE_INTERP_NOOPT
-    bool DecodeOpt = false;
-#else
+    /// instruction counts are identical either way.
     bool DecodeOpt = true;
-#endif
     DispatchMode Dispatch = DispatchMode::Auto;
   };
 

@@ -155,7 +155,7 @@ const MemDepProfile *Noelle::getMemDepProfile() {
 Architecture &Noelle::getArchitecture() {
   Requested.insert(Abstraction::AR);
   if (!Arch)
-    Arch = std::make_unique<Architecture>(Opts.MeasureArchitecture);
+    Arch = std::make_unique<Architecture>();
   return *Arch;
 }
 

@@ -68,7 +68,6 @@ private:
 struct NoelleOptions {
   PDGBuildOptions PDGOptions;
   double MinimumLoopHotness = 0.0; ///< filter for getLoopContents
-  bool MeasureArchitecture = false;
 };
 
 /// Demand-driven facade over all abstractions for one module.

@@ -35,6 +35,9 @@ using nir::Value;
 
 namespace {
 
+/// Callees above this instruction count never inline.
+constexpr unsigned InlineBudget = 64;
+
 struct CalleeProfile {
   uint64_t NumInsts = 0;
   bool HasAlloca = false;
@@ -146,8 +149,7 @@ void inlineCallSite(CallInst *Call) {
 
 } // namespace
 
-uint64_t noelle::opt::inlineFunctions(Noelle &N, const PipelineOptions &Opts,
-                                      PipelineStats &S) {
+uint64_t noelle::opt::inlineFunctions(Noelle &N, PipelineStats &S) {
   nir::Module &M = N.getModule();
   uint64_t Inlined = 0;
   // Chains (a calls b calls c) settle over a few rounds; the budget and
@@ -180,7 +182,7 @@ uint64_t noelle::opt::inlineFunctions(Noelle &N, const PipelineOptions &Opts,
           if (Recursive.count(Callee) || Recursive.count(F.get()))
             continue;
           const CalleeProfile &P = Profiles[Callee];
-          if (P.HasAlloca || P.NumInsts > Opts.InlineBudget)
+          if (P.HasAlloca || P.NumInsts > InlineBudget)
             continue;
           Sites.push_back(Call);
         }

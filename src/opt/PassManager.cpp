@@ -3,9 +3,9 @@
 /// \file
 /// Pipeline driver: runs the passes in a fixed order over one Noelle
 /// facade, records which abstraction each pass requested (the ablation
-/// experiment's raw data), and — with VerifyEach — re-verifies the
-/// module after every pass, aborting immediately on malformed IR so a
-/// broken transform cannot masquerade as a miscompile downstream.
+/// experiment's raw data), and re-verifies the module after every pass,
+/// aborting immediately on malformed IR so a broken transform cannot
+/// masquerade as a miscompile downstream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,19 +30,17 @@ PipelineStats noelle::opt::runPipeline(nir::Module &M,
     N.resetRequestTracking();
     Fn();
     S.PassAbstractions.emplace_back(Name, N.getRequestedAbstractions());
-    if (Opts.VerifyEach) {
-      const auto Errors = nir::verifyModule(M);
-      if (!Errors.empty()) {
-        std::fprintf(stderr, "pipeline pass '%s' broke the IR:\n", Name);
-        for (const auto &E : Errors)
-          std::fprintf(stderr, "  %s\n", E.c_str());
-        std::abort();
-      }
+    const auto Errors = nir::verifyModule(M);
+    if (!Errors.empty()) {
+      std::fprintf(stderr, "pipeline pass '%s' broke the IR:\n", Name);
+      for (const auto &E : Errors)
+        std::fprintf(stderr, "  %s\n", E.c_str());
+      std::abort();
     }
   };
 
   RunPass("inline", Opts.EnableInline,
-          [&] { inlineFunctions(N, Opts, S); });
+          [&] { inlineFunctions(N, S); });
   RunPass("gvn", Opts.EnableGVN, [&] { runGVN(N, S); });
   RunPass("dce", Opts.EnableDCE, [&] { runDCE(M, S); });
   RunPass("licm", Opts.EnableLICM, [&] { runLICM(N, S); });

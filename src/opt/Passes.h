@@ -36,12 +36,6 @@ struct PipelineOptions {
   /// Preferred unroll factor; loops whose trip count the factor does not
   /// divide fall back to 2, then stay rolled.
   unsigned UnrollFactor = 4;
-  /// Callees above this instruction count never inline.
-  unsigned InlineBudget = 64;
-  /// Cap on body growth per unrolled loop (cloned instructions).
-  unsigned UnrollGrowthBudget = 400;
-  /// Run nir::verifyModule after every pass and fail fast on errors.
-  bool VerifyEach = true;
 };
 
 /// Counters the passes accumulate, plus the per-pass abstraction
@@ -61,8 +55,7 @@ struct PipelineStats {
 
 /// Inlines small non-recursive direct calls (CG decides recursion).
 /// Returns calls inlined.
-uint64_t inlineFunctions(Noelle &N, const PipelineOptions &Opts,
-                         PipelineStats &S);
+uint64_t inlineFunctions(Noelle &N, PipelineStats &S);
 
 /// Dominator-preorder global value numbering over pure scalar
 /// instructions. Returns instructions replaced.
@@ -90,7 +83,7 @@ uint64_t runSLP(Noelle &N, PipelineStats &S);
 
 /// Runs the whole pipeline:
 ///   Inline, GVN, DCE, LICM, Unroll, GVN, DCE, SLP, DCE
-/// verifying the module after every pass when Opts.VerifyEach is set.
+/// verifying the module after every pass.
 PipelineStats runPipeline(nir::Module &M, const PipelineOptions &Opts = {});
 
 } // namespace opt

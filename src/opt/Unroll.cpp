@@ -33,6 +33,9 @@ using nir::Value;
 
 namespace {
 
+/// Cap on body growth per unrolled loop (cloned instructions).
+constexpr unsigned UnrollGrowthBudget = 400;
+
 /// The loop shapes we unroll: header = phis + cmp + condbr, body = a
 /// straight-line chain of single-predecessor blocks ending at the latch.
 struct LoopShape {
@@ -316,7 +319,7 @@ uint64_t noelle::opt::runUnroll(Noelle &N, const PipelineOptions &Opts,
     unsigned F = 0;
     for (unsigned Cand : {Opts.UnrollFactor, 2u}) {
       if (Cand >= 2 && Trips % Cand == 0 && Trips >= Cand &&
-          Sh.BodyInsts * (Cand - 1) <= Opts.UnrollGrowthBudget) {
+          Sh.BodyInsts * (Cand - 1) <= UnrollGrowthBudget) {
         F = Cand;
         break;
       }

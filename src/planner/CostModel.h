@@ -22,12 +22,12 @@ namespace noelle {
 namespace planner {
 
 /// Per-event overheads in interpreter-instruction units — the currency
-/// of the figure-5 performance model. Defaults mirror
-/// bench/BenchUtils.h PerfModel; loadMeasuredOverheads replaces them
-/// with values derived from a BENCH_runtime.json measurement.
+/// of the figure-5 performance model, whose costs are the defaults;
+/// loadMeasuredOverheads replaces them with values derived from a
+/// BENCH_runtime.json measurement.
 struct CostOverheads {
-  double SpawnCostPerTask = 500; ///< pool dispatch + park, per task
-  double SyncCost = 20;          ///< one gate wait/signal or queue op
+  double SpawnCostPerTask = perfmodel::SpawnCostPerTask;
+  double SyncCost = perfmodel::SyncCostPerOp;
 };
 
 /// Derives overheads from a BENCH_runtime.json file written by

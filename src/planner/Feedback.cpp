@@ -14,6 +14,9 @@ namespace telemetry = noelle::telemetry;
 
 namespace {
 
+/// Measured/estimated ratio below which an entry is a shortfall.
+constexpr double ShortfallRatio = 0.8;
+
 /// Resolves the plan-entry origin (deterministic header-instruction ID)
 /// of a dispatched task function. DOALL/HELIX tasks and DSWP stage tasks
 /// carry verify::TaskOriginKey directly; a DSWP pipeline trampoline does
@@ -46,11 +49,11 @@ bool originOf(const nir::Function &F, uint64_t &Out) {
 
 FeedbackResult planner::applyMeasuredSpeedups(
     ProgramPlan &Plan, const nir::Module &M,
-    const std::vector<nir::DispatchRecord> &Records,
-    const FeedbackOptions &Opts) {
+    const std::vector<nir::DispatchRecord> &Records) {
   // Join records to origins. A loop may dispatch many times (outer
   // invocations), so accumulate sequential and parallel time per origin
-  // before forming the ratio — exactly how simulatedTime folds regions.
+  // before forming the ratio — exactly how perfmodel::runTime folds
+  // regions.
   struct Acc {
     uint64_t Seq = 0;
     uint64_t Par = 0;
@@ -71,11 +74,7 @@ FeedbackResult planner::applyMeasuredSpeedups(
       continue;
     Acc &A = ByOrigin[Origin];
     A.Seq += R.TotalTaskInstructions;
-    uint64_t Region =
-        std::max(R.MaxTaskInstructions + R.MaxTaskSyncOps * Opts.SyncCost,
-                 R.TotalSegmentInstructions);
-    Region += R.NumTasks * Opts.SpawnCostPerTask;
-    A.Par += Region;
+    A.Par += perfmodel::regionTime(R);
   }
 
   FeedbackResult Res;
@@ -91,7 +90,7 @@ FeedbackResult planner::applyMeasuredSpeedups(
     telemetry::count(telemetry::Counter::PlanMeasured);
     if (E.SpeedupMilli > 0 &&
         static_cast<double>(E.MeasuredMilli) <
-            Opts.ShortfallRatio * static_cast<double>(E.SpeedupMilli)) {
+            ShortfallRatio * static_cast<double>(E.SpeedupMilli)) {
       ++Res.Shortfalls;
       telemetry::count(telemetry::Counter::PlanShortfall);
     }

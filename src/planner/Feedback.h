@@ -10,9 +10,9 @@
 /// into PlanEntry::MeasuredMilli so a re-serialized plan records both
 /// the estimate and the observation.
 ///
-/// Entries whose measurement falls below the shortfall threshold (the
-/// plan promised more than it delivered) are flagged through the
-/// telemetry counter planner.feedback.speedup_shortfall, giving the
+/// Entries whose measurement falls below 0.8x their estimate (the plan
+/// promised more than it delivered) are flagged through the telemetry
+/// counter planner.feedback.speedup_shortfall, giving the
 /// planner suite a machine-checkable regression signal.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,30 +32,21 @@ namespace planner {
 struct FeedbackResult {
   /// Plan entries that at least one dispatch record mapped onto.
   unsigned EntriesMeasured = 0;
-  /// Measured entries whose speedup fell below
-  /// ShortfallRatio * estimate.
+  /// Measured entries whose speedup fell below 0.8x the estimate.
   unsigned Shortfalls = 0;
 };
 
-/// Knobs for the measurement; defaults mirror bench/BenchUtils.h
-/// PerfModel so measured and modeled numbers live in the same units.
-struct FeedbackOptions {
-  uint64_t SpawnCostPerTask = 500;
-  uint64_t SyncCost = 20;
-  /// Measured/estimated ratio below which an entry is a shortfall.
-  double ShortfallRatio = 0.8;
-};
-
-/// Writes measured speedups from \p Records into \p Plan (module \p M is
-/// the post-transform module the records were produced by — its task
-/// functions resolve record task names to plan-entry origins). Counters
+/// Writes measured speedups from \p Records into \p Plan: per entry,
+/// the task work its records moved over their perfmodel::regionTime,
+/// MeasuredMilli = Seq * 1000 / Par. \p M is the post-transform module
+/// the records were produced by — its task functions resolve record
+/// task names to plan-entry origins. Counters
 /// planner.feedback.entries_measured / .speedup_shortfall are bumped per
 /// affected entry. Records whose task cannot be mapped to an entry are
 /// ignored. Returns what was measured and flagged.
 FeedbackResult applyMeasuredSpeedups(
     ProgramPlan &Plan, const nir::Module &M,
-    const std::vector<nir::DispatchRecord> &Records,
-    const FeedbackOptions &Opts = {});
+    const std::vector<nir::DispatchRecord> &Records);
 
 } // namespace planner
 } // namespace noelle

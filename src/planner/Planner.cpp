@@ -18,6 +18,9 @@ using namespace noelle::planner;
 
 namespace {
 
+/// Loops whose best modeled speedup falls below this stay sequential.
+constexpr double MinimumSpeedup = 1.02;
+
 bool isTaskFunction(const nir::Function &F) {
   return F.getMetadata("noelle.task") == "true";
 }
@@ -25,31 +28,16 @@ bool isTaskFunction(const nir::Function &F) {
 } // namespace
 
 std::unique_ptr<ParallelizationTechnique>
-Planner::makeTechnique(TechniqueKind K) {
+planner::makeTechnique(TechniqueKind K, Noelle &N, unsigned Workers) {
   switch (K) {
-  case TechniqueKind::DOALL: {
-    DOALLOptions O;
-    O.NumCores = Opts.MaxWorkers;
-    return std::make_unique<DOALL>(N, O);
-  }
-  case TechniqueKind::HELIX: {
-    HELIXOptions O;
-    O.NumCores = Opts.MaxWorkers;
-    O.MinimumEstimatedSpeedup = 0; // the planner gates on estimate()
-    return std::make_unique<HELIX>(N, O);
-  }
-  case TechniqueKind::DSWP: {
-    DSWPOptions O;
-    O.NumCores = Opts.MaxWorkers;
-    O.QueueCapacity = Opts.QueueCapacity;
-    O.MinimumStageWeight = 0; // the planner gates on estimate()
-    return std::make_unique<DSWP>(N, O);
-  }
-  case TechniqueKind::SpecDOALL: {
-    DOALLOptions O;
-    O.NumCores = Opts.MaxWorkers;
-    return std::make_unique<SpecDOALL>(N, O);
-  }
+  case TechniqueKind::DOALL:
+    return std::make_unique<DOALL>(N, DOALLOptions{Workers});
+  case TechniqueKind::HELIX:
+    return std::make_unique<HELIX>(N, HELIXOptions{Workers});
+  case TechniqueKind::DSWP:
+    return std::make_unique<DSWP>(N, DSWPOptions{Workers});
+  case TechniqueKind::SpecDOALL:
+    return std::make_unique<SpecDOALL>(N, DOALLOptions{Workers});
   }
   return nullptr;
 }
@@ -73,11 +61,12 @@ ProgramPlan Planner::plan() {
   ProfileData *Prof = getProfiles();
 
   std::vector<std::unique_ptr<ParallelizationTechnique>> Techniques;
-  Techniques.push_back(makeTechnique(TechniqueKind::DOALL));
-  Techniques.push_back(makeTechnique(TechniqueKind::HELIX));
-  Techniques.push_back(makeTechnique(TechniqueKind::DSWP));
+  for (TechniqueKind K : {TechniqueKind::DOALL, TechniqueKind::HELIX,
+                          TechniqueKind::DSWP})
+    Techniques.push_back(makeTechnique(K, N, Opts.MaxWorkers));
   if (Opts.EnableSpeculation)
-    Techniques.push_back(makeTechnique(TechniqueKind::SpecDOALL));
+    Techniques.push_back(
+        makeTechnique(TechniqueKind::SpecDOALL, N, Opts.MaxWorkers));
 
   // The memory-dependence profile backs the misspeculation-probability
   // term of speculative candidates: a loop observed across many
@@ -122,7 +111,7 @@ ProgramPlan Planner::plan() {
       PlanChoice C;
       if (!Model.choose(*Techniques[0], L, Q, Opts.MaxWorkers, C))
         continue;
-      if (C.Cost.speedup() < Opts.MinimumSpeedup)
+      if (C.Cost.speedup() < MinimumSpeedup)
         continue;
       std::optional<uint64_t> HID = LS.getHeaderID();
       if (!HID)
@@ -141,14 +130,10 @@ ProgramPlan Planner::plan() {
       continue;
     }
 
-    // Evidence gates: never-executed loops have no profile-backed trip
-    // count, and cold loops cannot repay transformation risk.
-    if (Prof) {
-      if (Prof->getLoopInvocations(LS) == 0)
-        continue;
-      if (Prof->getLoopHotness(LS) < Opts.MinimumHotness)
-        continue;
-    }
+    // Evidence gate: never-executed loops have no profile-backed trip
+    // count.
+    if (Prof && Prof->getLoopInvocations(LS) == 0)
+      continue;
 
     std::optional<uint64_t> HID = LS.getHeaderID();
     if (!HID)
@@ -182,7 +167,7 @@ ProgramPlan Planner::plan() {
         Any = true;
       }
     }
-    if (!Any || Best.Cost.speedup() < Opts.MinimumSpeedup)
+    if (!Any || Best.Cost.speedup() < MinimumSpeedup)
       continue;
     PlanEntry E;
     E.FunctionName = LS.getFunction()->getName();
@@ -325,7 +310,8 @@ std::vector<Decision> Planner::apply(const ProgramPlan &P) {
       continue;
     }
 
-    std::unique_ptr<ParallelizationTechnique> T = makeTechnique(E.Kind);
+    std::unique_ptr<ParallelizationTechnique> T =
+        makeTechnique(E.Kind, N, Opts.MaxWorkers);
     LoopPlan LP;
     LP.Kind = E.Kind;
     LP.Workers = std::max(1u, E.Workers);
@@ -349,8 +335,6 @@ Planner::applyEverywhere(ParallelizationTechnique &T) {
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    ProfileData *Prof =
-        T.minimumHotness() > 0 ? N.getProfiles(false) : nullptr;
     for (LoopContent *LC : N.getLoopContents()) {
       nir::LoopStructure &LS = LC->getLoopStructure();
       if (isTaskFunction(*LS.getFunction()))
@@ -369,11 +353,6 @@ Planner::applyEverywhere(ParallelizationTechnique &T) {
       D.FunctionName = Key.first;
       D.LoopID = LS.getID();
       D.Kind = T.getKind();
-      if (Prof && Prof->getLoopHotness(LS) < T.minimumHotness()) {
-        D.Reason = "not hot enough";
-        Decisions.push_back(std::move(D));
-        continue;
-      }
       Legality L = T.applicable(*LC);
       if (!L) {
         D.Reason = L.Reason;

@@ -29,14 +29,16 @@
 namespace noelle {
 namespace planner {
 
+/// Technique instances under planner conventions: per-tool gates off
+/// (the planner gates on modeled speedup, not per-tool heuristics) so an
+/// emitted plan entry always re-applies, at \p Workers workers. The
+/// gated counterpart is createTechnique.
+std::unique_ptr<ParallelizationTechnique>
+makeTechnique(TechniqueKind K, Noelle &N, unsigned Workers);
+
 struct PlannerOptions {
   /// Worker-count search ceiling (and NumCores handed to techniques).
   unsigned MaxWorkers = 4;
-  /// Loops whose best modeled speedup falls below this stay sequential.
-  double MinimumSpeedup = 1.02;
-  /// Loops cooler than this fraction of total executed instructions are
-  /// not planned (0 = plan everything the profile has seen run).
-  double MinimumHotness = 0.0;
   /// Use the embedded profile bound to the module's current content
   /// hash — collecting one by running @main when the module has one and
   /// carries none. When false, the cost model falls back to its static
@@ -51,8 +53,6 @@ struct PlannerOptions {
   /// (`noelle-parallelize --speculate`). Without an embedded profile
   /// the candidate set is empty regardless.
   bool EnableSpeculation = false;
-  /// DSWP inter-stage queue capacity.
-  unsigned QueueCapacity = 128;
   CostOverheads Overheads;
 };
 
@@ -88,16 +88,10 @@ public:
   /// applies \p T to every eligible loop of its module (outermost
   /// first, skipping generated task functions and anything inside an
   /// already-parallelized loop), restarting enumeration after each
-  /// successful transform. Honors the technique's hotness floor and
-  /// profitability gate.
+  /// successful transform. Honors the technique's profitability gate.
   static std::vector<Decision> applyEverywhere(ParallelizationTechnique &T);
 
 private:
-  /// Technique instances under planner conventions: thresholds
-  /// neutralized (the planner gates on modeled speedup, not per-tool
-  /// heuristics) so an emitted plan entry always re-applies.
-  std::unique_ptr<ParallelizationTechnique> makeTechnique(TechniqueKind K);
-
   /// Profile lookup per the options (collect-if-missing only when the
   /// module has a @main to run).
   ProfileData *getProfiles();

@@ -251,20 +251,12 @@ void lintNullDerefs(Function &F, CheckReport &Rep) {
 
 } // namespace
 
-void noelle::verify::lintFunction(Function &F, const LintOptions &Opts,
-                                  CheckReport &Rep) {
-  if (F.isDeclaration())
-    return;
-  if (Opts.UninitializedRead)
-    lintUninitializedReads(F, Rep);
-  if (Opts.DeadStore)
-    lintDeadStores(F, Rep);
-  if (Opts.NullDeref)
-    lintNullDerefs(F, Rep);
-}
-
-void noelle::verify::lintModule(nir::Module &M, const LintOptions &Opts,
-                                CheckReport &Rep) {
-  for (const auto &F : M.getFunctions())
-    lintFunction(*F, Opts, Rep);
+void noelle::verify::lintModule(nir::Module &M, CheckReport &Rep) {
+  for (const auto &F : M.getFunctions()) {
+    if (F->isDeclaration())
+      continue;
+    lintUninitializedReads(*F, Rep);
+    lintDeadStores(*F, Rep);
+    lintNullDerefs(*F, Rep);
+  }
 }

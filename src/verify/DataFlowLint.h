@@ -30,18 +30,8 @@
 namespace noelle {
 namespace verify {
 
-struct LintOptions {
-  bool UninitializedRead = true;
-  bool DeadStore = true;
-  bool NullDeref = true;
-};
-
-/// Runs the enabled lints over every defined function of \p M.
-void lintModule(nir::Module &M, const LintOptions &Opts, CheckReport &Rep);
-
-/// Single-function entry point (used by tests).
-void lintFunction(nir::Function &F, const LintOptions &Opts,
-                  CheckReport &Rep);
+/// Runs the three lints over every defined function of \p M.
+void lintModule(nir::Module &M, CheckReport &Rep);
 
 } // namespace verify
 } // namespace noelle

@@ -165,8 +165,8 @@ struct HappensBeforeEngine::QueueSites {
 
 HappensBeforeEngine::HappensBeforeEngine(const ParallelRegion &R,
                                          const PDGDependenceSummary *Deps,
-                                         Config C)
-    : R(R), Deps(Deps), Cfg(C) {}
+                                         const RaceDetectorOptions &Opts)
+    : R(R), Deps(Deps), Opts(Opts) {}
 
 HappensBeforeEngine::~HappensBeforeEngine() = default;
 
@@ -244,7 +244,7 @@ bool HappensBeforeEngine::mayFollow(const Instruction *Earlier,
 bool HappensBeforeEngine::completedBefore(const Instruction *Ev,
                                           const Instruction *At,
                                           TaskState &TS) {
-  if (!Cfg.FlowSensitive)
+  if (!Opts.FlowSensitive)
     return TS.domTree().dominates(Ev, At);
   TS.buildCompleted();
   auto It = TS.EventIdx.find(Ev);
@@ -279,7 +279,7 @@ HBRule HappensBeforeEngine::queueOrdered(const Instruction *Pre,
                                          const TaskInfo &PreT,
                                          const Instruction *Post,
                                          const TaskInfo &PostT) {
-  if (!Cfg.QueueHB)
+  if (!Opts.UseQueueHB)
     return HBRule::None;
   const auto &QS = queueSites();
   if (UnknownQueueOps || QS.empty())
@@ -345,7 +345,7 @@ HBRule HappensBeforeEngine::queueOrdered(const Instruction *Pre,
   // multi-producer cover is MultiQueueJoin.
   if (Discharges(/*Join=*/false))
     return HBRule::QueueHB;
-  if (Cfg.MultiQueueJoin && Discharges(/*Join=*/true))
+  if (Opts.UseMultiQueueJoin && Discharges(/*Join=*/true))
     return HBRule::MultiQueueJoin;
   return HBRule::None;
 }
@@ -363,7 +363,7 @@ bool HappensBeforeEngine::loopPhaseOrdered(const Instruction *Pre,
                                            const TaskInfo &PreT,
                                            const Instruction *Post,
                                            const TaskInfo &PostT) {
-  if (!Cfg.LoopPhase || !Deps)
+  if (!Opts.UseLoopPhase || !Deps)
     return false;
   const auto &QS = queueSites();
   if (UnknownQueueOps)
@@ -437,13 +437,13 @@ HBRule HappensBeforeEngine::segmentOrdered(const Instruction *A,
     return HBRule::None;
   BitVector HA = ItA->second;
   BitVector HB = ItB->second;
-  if (Cfg.FlowSensitive)
+  if (Opts.FlowSensitive)
     for (unsigned S = 0; S < TS.Leaked.size(); ++S)
       if (TS.Leaked.test(S) && S < HA.size()) {
         HA.reset(S);
         HB.reset(S);
       }
-  if (Cfg.SegmentOrder) {
+  if (Opts.UseSegmentOrder) {
     BitVector Common = HA;
     Common.intersectWith(HB);
     if (Common.any())
@@ -453,7 +453,7 @@ HBRule HappensBeforeEngine::segmentOrdered(const Instruction *A,
   // iteration, and a worker's own iteration is program-ordered, so a
   // pair whose conflicts the snapshot PDG limits to one iteration can
   // never overlap.
-  if (Cfg.CrossSegment && Deps && HA.any() && HB.any()) {
+  if (Opts.UseCrossSegment && Deps && HA.any() && HB.any()) {
     auto OA = originOf(A);
     auto OB = originOf(B);
     if (OA && OB && !Deps->LoopCarriedMemDeps.count({*OA, *OB}))

@@ -68,26 +68,54 @@ enum class HBRule {
 /// Stable kebab-case name for stats keys and diagnostics.
 const char *hbRuleName(HBRule R);
 
+struct RaceRuleStats;
+
+/// Tuning knobs for detectRaces and the happens-before engine it drives.
+/// Defaults enable the full flow-sensitive engine; tests and the
+/// `--race-rules` CLI flag disable individual rules to pin which one
+/// discharged a pair, and legacy() reproduces the single-rule detector
+/// this engine replaced.
+struct RaceDetectorOptions {
+  /// Queue release/acquire ordering (push completion ⟶ pop return).
+  bool UseQueueHB = true;
+  /// Transitive ordering through queue chains and multi-producer joins.
+  bool UseMultiQueueJoin = true;
+  /// k-th push / k-th pop matching for queue ops in lockstep loops.
+  bool UseLoopPhase = true;
+  /// Same-segment HELIX gate protection.
+  bool UseSegmentOrder = true;
+  /// Cross-segment partial orders for intra-iteration-only conflicts.
+  bool UseCrossSegment = true;
+  /// Flow-sensitive mode: ordering facts come from the all-paths
+  /// completed-event dataflow, segment protection is gated by the
+  /// segment-protocol leak check, and ordering rules run before pointer
+  /// classification. When false the detector reproduces the structural
+  /// single-rule pipeline (dominating pop, late segment check).
+  bool FlowSensitive = true;
+  /// When set, per-rule counters are accumulated here.
+  RaceRuleStats *Stats = nullptr;
+
+  /// The pre-engine detector: single-queue/single-producer happens-
+  /// before with a dominating pop, flow-insensitive segment protection.
+  /// The bench harness compares the engine's precision against this.
+  static RaceDetectorOptions legacy() {
+    RaceDetectorOptions O;
+    O.UseMultiQueueJoin = false;
+    O.UseLoopPhase = false;
+    O.UseCrossSegment = false;
+    O.FlowSensitive = false;
+    return O;
+  }
+};
+
 /// Per-region happens-before engine. Owns per-task dominator trees, loop
 /// info, completed-event dataflows, and gate dataflows; all built lazily
 /// and cached for the lifetime of the engine (one region scan).
 class HappensBeforeEngine {
 public:
-  struct Config {
-    bool QueueHB = true;        ///< any queue-based ordering at all
-    bool MultiQueueJoin = true; ///< chains, joins, multi-producer queues
-    bool LoopPhase = true;      ///< lockstep k-th push / k-th pop matching
-    bool SegmentOrder = true;   ///< same-segment gate protection
-    bool CrossSegment = true;   ///< cross-segment intra-iteration orders
-    /// Flow-sensitive mode: acquire facts come from the all-paths
-    /// completed-event dataflow and segment facts are leak-gated. When
-    /// false the engine reproduces the PR-4 structural shortcut
-    /// (dominating pop, no leak check).
-    bool FlowSensitive = true;
-  };
-
   HappensBeforeEngine(const ParallelRegion &R,
-                      const PDGDependenceSummary *Deps, Config C);
+                      const PDGDependenceSummary *Deps,
+                      const RaceDetectorOptions &Opts);
   ~HappensBeforeEngine();
 
   HappensBeforeEngine(const HappensBeforeEngine &) = delete;
@@ -133,7 +161,7 @@ private:
 
   const ParallelRegion &R;
   const PDGDependenceSummary *Deps;
-  Config Cfg;
+  RaceDetectorOptions Opts;
 
   std::map<const TaskInfo *, std::unique_ptr<TaskState>> States;
   std::unique_ptr<std::map<unsigned, QueueSites>> Queues;

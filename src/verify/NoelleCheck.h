@@ -7,7 +7,7 @@
 /// tests drive):
 ///
 ///   PreTransformSnapshot Snap = captureForCheck(M);  // before transforms
-///   DOALL(N, Opts).run();                            // any transforms
+///   createTechnique(K, N)->run();                    // any transforms
 ///   CheckReport Rep = checkModule(M, Snap);          // audit the result
 ///
 /// captureForCheck assigns deterministic instruction IDs, embeds the

@@ -1,9 +1,6 @@
 #include "verify/PlanCheck.h"
 
-#include "xforms/DOALL.h"
-#include "xforms/DSWP.h"
-#include "xforms/HELIX.h"
-#include "xforms/SpecDOALL.h"
+#include "planner/Planner.h"
 
 #include <algorithm>
 #include <map>
@@ -36,35 +33,12 @@ LoopContent *findLoop(Noelle &N, const PlanEntry &E) {
 }
 
 /// The legality analysis behind one plan entry, under the planner's
-/// conventions (per-tool profitability thresholds neutralized — the
-/// plan already encodes the profitability decision) and the entry's
-/// own worker count.
+/// conventions (per-tool profitability gates off — the plan already
+/// encodes the profitability decision) and the entry's own worker
+/// count.
 Legality entryLegality(Noelle &N, const PlanEntry &E, LoopContent &LC) {
-  switch (E.Kind) {
-  case TechniqueKind::DOALL: {
-    DOALLOptions O;
-    O.NumCores = std::max(1u, E.Workers);
-    return DOALL(N, O).applicable(LC);
-  }
-  case TechniqueKind::HELIX: {
-    HELIXOptions O;
-    O.NumCores = std::max(1u, E.Workers);
-    O.MinimumEstimatedSpeedup = 0;
-    return HELIX(N, O).applicable(LC);
-  }
-  case TechniqueKind::DSWP: {
-    DSWPOptions O;
-    O.NumCores = std::max(1u, E.Workers);
-    O.MinimumStageWeight = 0;
-    return DSWP(N, O).applicable(LC);
-  }
-  case TechniqueKind::SpecDOALL: {
-    DOALLOptions O;
-    O.NumCores = std::max(1u, E.Workers);
-    return SpecDOALL(N, O).applicable(LC);
-  }
-  }
-  return Legality();
+  return planner::makeTechnique(E.Kind, N, std::max(1u, E.Workers))
+      ->applicable(LC);
 }
 
 } // namespace

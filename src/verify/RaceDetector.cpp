@@ -101,7 +101,7 @@ public:
                  const RaceDetectorOptions &Opts, CheckReport &Rep,
                  RaceRuleStats &S)
       : R(R), AA(AA), Deps(Deps), Opts(Opts), Rep(Rep), S(S),
-        HB(R, Deps, configFrom(Opts)) {}
+        HB(R, Deps, Opts) {}
 
   void run() {
     std::vector<std::vector<Access>> PerTask;
@@ -126,17 +126,6 @@ public:
   }
 
 private:
-  static HappensBeforeEngine::Config configFrom(const RaceDetectorOptions &O) {
-    HappensBeforeEngine::Config C;
-    C.QueueHB = O.UseQueueHB;
-    C.MultiQueueJoin = O.UseMultiQueueJoin;
-    C.LoopPhase = O.UseLoopPhase;
-    C.SegmentOrder = O.UseSegmentOrder;
-    C.CrossSegment = O.UseCrossSegment;
-    C.FlowSensitive = O.FlowSensitive;
-    return C;
-  }
-
   void discharge(const char *Rule) { ++S.Discharged[Rule]; }
 
   void checkPair(const Access &A, const Access &B) {

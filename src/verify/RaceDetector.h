@@ -57,43 +57,6 @@ struct RaceRuleStats {
   }
 };
 
-/// Tuning knobs for detectRaces. Defaults enable the full flow-sensitive
-/// happens-before engine; tests and the `--race-rules` CLI flag disable
-/// individual rules to pin which one discharged a pair, and legacy()
-/// reproduces the single-rule detector this engine replaced.
-struct RaceDetectorOptions {
-  /// Queue release/acquire ordering (push completion ⟶ pop return).
-  bool UseQueueHB = true;
-  /// Transitive ordering through queue chains and multi-producer joins.
-  bool UseMultiQueueJoin = true;
-  /// k-th push / k-th pop matching for queue ops in lockstep loops.
-  bool UseLoopPhase = true;
-  /// Same-segment HELIX gate protection.
-  bool UseSegmentOrder = true;
-  /// Cross-segment partial orders for intra-iteration-only conflicts.
-  bool UseCrossSegment = true;
-  /// Flow-sensitive mode: ordering facts come from the all-paths
-  /// completed-event dataflow, segment protection is gated by the
-  /// segment-protocol leak check, and ordering rules run before pointer
-  /// classification. When false the detector reproduces the structural
-  /// single-rule pipeline (dominating pop, late segment check).
-  bool FlowSensitive = true;
-  /// When set, per-rule counters are accumulated here.
-  RaceRuleStats *Stats = nullptr;
-
-  /// The pre-engine detector: single-queue/single-producer happens-
-  /// before with a dominating pop, flow-insensitive segment protection.
-  /// The bench harness compares the engine's precision against this.
-  static RaceDetectorOptions legacy() {
-    RaceDetectorOptions O;
-    O.UseMultiQueueJoin = false;
-    O.UseLoopPhase = false;
-    O.UseCrossSegment = false;
-    O.FlowSensitive = false;
-    return O;
-  }
-};
-
 /// Scans the parallel regions of \p M (the transformed module) for data
 /// races between concurrently executing workers. DOALL/HELIX workers run
 /// the same task body against themselves; DSWP stages run concurrently

@@ -19,11 +19,6 @@ namespace noelle {
 
 struct DOALLOptions {
   unsigned NumCores = 4;
-  double MinimumHotness = 0.0; ///< skip loops cooler than this (needs PRO)
-  /// Chunk grain for the dynamically scheduled dispatch: pool runners
-  /// grab this many task indices per shared-counter bump. DOALL tasks
-  /// are independent, so dynamic scheduling is always safe for them.
-  unsigned ChunkGrain = 1;
 };
 
 class DOALL : public ParallelizationTechnique {
@@ -41,10 +36,8 @@ public:
   bool apply(LoopContent &LC, const LoopPlan &P, Decision &D) override;
 
   LoopPlan defaultPlan() const override {
-    return {TechniqueKind::DOALL, Opts.NumCores,
-            std::max(1u, Opts.ChunkGrain)};
+    return {TechniqueKind::DOALL, Opts.NumCores, 1};
   }
-  double minimumHotness() const override { return Opts.MinimumHotness; }
 
 protected:
   /// Task-kind metadata stamped on generated task functions; the

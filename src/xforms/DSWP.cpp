@@ -25,6 +25,9 @@ using nir::PhiInst;
 
 namespace {
 
+/// Capacity of every inter-stage queue, in values.
+constexpr int64_t QueueCapacity = 128;
+
 bool isIVSCC(const SCC *S, InductionVariableManager &IVs) {
   for (const auto &IV : IVs.getInductionVariables())
     if (IV->getSCC() == S || S->contains(IV->getPhi()))
@@ -602,9 +605,8 @@ bool DSWP::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
   IRBuilder CB(Ctx);
   CB.setInsertPoint(DispatchCall);
   for (unsigned Q = 0; Q < Queues.size(); ++Q) {
-    Value *Handle = CB.createCall(
-        QCreateFn, {Ctx.getInt64(static_cast<int64_t>(Opts.QueueCapacity))},
-        "queue");
+    Value *Handle =
+        CB.createCall(QCreateFn, {Ctx.getInt64(QueueCapacity)}, "queue");
     emitEnvStore(CB, EnvV, QueueSlotBase + Q, Handle);
   }
 

@@ -19,13 +19,12 @@
 namespace noelle {
 
 struct DSWPOptions {
-  unsigned NumCores = 4;   ///< maximum number of pipeline stages
-  unsigned QueueCapacity = 128;
-  double MinimumHotness = 0.0;
+  unsigned NumCores = 4; ///< maximum number of pipeline stages
   /// Decline pipelines whose average per-iteration stage weight (in
   /// instructions) is below this: fine-grained stages cannot amortize
-  /// queue operations. Set to 0 to force pipelining regardless.
-  uint64_t MinimumStageWeight = 30;
+  /// queue operations. 0, the default, forces pipelining;
+  /// createTechnique sets the paper's gate.
+  uint64_t MinimumStageWeight{};
 };
 
 class DSWP : public ParallelizationTechnique {
@@ -45,7 +44,6 @@ public:
   LoopPlan defaultPlan() const override {
     return {TechniqueKind::DSWP, Opts.NumCores, 1};
   }
-  double minimumHotness() const override { return Opts.MinimumHotness; }
 
 private:
   /// A cross-stage register dependence carried by one queue.

@@ -291,7 +291,7 @@ bool HELIX::profitable(LoopContent &LC, const Legality &L,
     return true;
   double Serialized = static_cast<double>(
       L.SegmentWeight +
-      2 * Opts.SyncCostInstructions * static_cast<uint64_t>(L.NumSegments));
+      2 * perfmodel::SyncCostPerOp * static_cast<uint64_t>(L.NumSegments));
   double Parallel =
       static_cast<double>(L.BodyWeight) / static_cast<double>(Opts.NumCores);
   double Estimate =

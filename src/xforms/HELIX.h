@@ -21,16 +21,13 @@ namespace noelle {
 
 struct HELIXOptions {
   unsigned NumCores = 4;
-  double MinimumHotness = 0.0;
   /// Decline loops whose statically estimated speedup falls below this
   /// (sequential segments + gate synchronization can make fine-grained
-  /// loops slower; the real tool prunes them with PRO + AR data). Set to
-  /// 0 to force parallelization regardless. Honored by the forced sweep
-  /// (run()); the planner gates on estimate() instead.
-  double MinimumEstimatedSpeedup = 1.05;
-  /// Modeled per-gate synchronization cost in instructions (from AR's
-  /// core-to-core latency).
-  uint64_t SyncCostInstructions = 20;
+  /// loops slower; the real tool prunes them with PRO + AR data). 0, the
+  /// default, forces parallelization; createTechnique sets the paper's
+  /// gate. Honored by the forced sweep (run()); the planner gates on
+  /// estimate() instead.
+  double MinimumEstimatedSpeedup{};
 };
 
 class HELIX : public ParallelizationTechnique {
@@ -49,15 +46,15 @@ public:
 
   /// The legacy static profitability gate: per iteration, the serialized
   /// portion costs the segment work plus two gate operations per
-  /// segment; decline when Body / max(Serialized, Body/Cores) falls
-  /// below MinimumEstimatedSpeedup.
+  /// segment at perfmodel's sync cost; decline when
+  /// Body / max(Serialized, Body/Cores) falls below
+  /// MinimumEstimatedSpeedup.
   bool profitable(LoopContent &LC, const Legality &L,
                   std::string &Reason) override;
 
   LoopPlan defaultPlan() const override {
     return {TechniqueKind::HELIX, Opts.NumCores, 1};
   }
-  double minimumHotness() const override { return Opts.MinimumHotness; }
 
 private:
   /// Computes the sequential segments of \p LC: groups of instructions

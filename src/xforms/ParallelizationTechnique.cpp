@@ -6,7 +6,26 @@
 #include "xforms/HELIX.h"
 #include "xforms/SpecDOALL.h"
 
+#include <algorithm>
+
 using namespace noelle;
+
+uint64_t noelle::perfmodel::regionTime(const nir::DispatchRecord &R) {
+  return std::max(R.MaxTaskInstructions + R.MaxTaskSyncOps * SyncCostPerOp,
+                  R.TotalSegmentInstructions) +
+         R.NumTasks * SpawnCostPerTask;
+}
+
+uint64_t
+noelle::perfmodel::runTime(uint64_t Retired,
+                           const std::vector<nir::DispatchRecord> &Records) {
+  uint64_t TaskWork = 0, Regions = 0;
+  for (const nir::DispatchRecord &R : Records) {
+    TaskWork += R.TotalTaskInstructions;
+    Regions += regionTime(R);
+  }
+  return Retired - TaskWork + Regions;
+}
 
 const char *noelle::techniqueName(TechniqueKind K) {
   switch (K) {
@@ -49,26 +68,16 @@ std::vector<Decision> ParallelizationTechnique::run() {
 std::unique_ptr<ParallelizationTechnique>
 noelle::createTechnique(TechniqueKind K, Noelle &N, unsigned NumCores) {
   switch (K) {
-  case TechniqueKind::DOALL: {
-    DOALLOptions O;
-    O.NumCores = NumCores;
-    return std::make_unique<DOALL>(N, O);
-  }
-  case TechniqueKind::HELIX: {
-    HELIXOptions O;
-    O.NumCores = NumCores;
-    return std::make_unique<HELIX>(N, O);
-  }
-  case TechniqueKind::DSWP: {
-    DSWPOptions O;
-    O.NumCores = NumCores;
-    return std::make_unique<DSWP>(N, O);
-  }
-  case TechniqueKind::SpecDOALL: {
-    DOALLOptions O;
-    O.NumCores = NumCores;
-    return std::make_unique<SpecDOALL>(N, O);
-  }
+  case TechniqueKind::DOALL:
+    return std::make_unique<DOALL>(N, DOALLOptions{NumCores});
+  case TechniqueKind::HELIX:
+    return std::make_unique<HELIX>(
+        N, HELIXOptions{.NumCores = NumCores, .MinimumEstimatedSpeedup = 1.05});
+  case TechniqueKind::DSWP:
+    return std::make_unique<DSWP>(
+        N, DSWPOptions{.NumCores = NumCores, .MinimumStageWeight = 30});
+  case TechniqueKind::SpecDOALL:
+    return std::make_unique<SpecDOALL>(N, DOALLOptions{NumCores});
   }
   return nullptr;
 }

@@ -9,11 +9,16 @@
 ///   apply(LoopContent&, LoopPlan&)     -> Decision
 ///
 /// — with typed per-technique option structs (DOALLOptions, HELIXOptions,
-/// DSWPOptions) carrying their thresholds. The planner (src/planner)
-/// enumerates techniques through this interface, costs candidates from
-/// profiler data, and picks per-loop strategies; `run()` is the
-/// technique-forced whole-module sweep (what figure 5's per-tool columns
-/// drive), implemented once on the base class via the planner.
+/// DSWPOptions) carrying their worker count and profitability gate. The
+/// planner (src/planner) enumerates techniques through this interface,
+/// costs candidates from profiler data, and picks per-loop strategies;
+/// `run()` is the technique-forced whole-module sweep (what figure 5's
+/// per-tool columns drive), implemented once on the base class via the
+/// planner.
+///
+/// Techniques are built through one of two factories: createTechnique
+/// below (the paper's per-tool gates) or planner::makeTechnique (gates
+/// off).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +32,33 @@
 namespace noelle {
 
 enum class TechniqueKind : uint8_t { DOALL, HELIX, DSWP, SpecDOALL };
+
+/// The Figure-5 performance model, in retired interpreter instructions.
+/// A parallel region costs its critical path — the busiest task plus its
+/// synchronization ops, but never less than the serialized segment work
+/// (HELIX's bound) — plus a dispatch charge per task; the rest of a run
+/// costs what it retired. It lives here, below every layer that prices
+/// with it: the planner's default overheads, CostQuery, HELIX's
+/// profitability gate, measured-speedup feedback and the Figure-5
+/// benches.
+namespace perfmodel {
+
+/// Pool dispatch + park, per task.
+inline constexpr uint64_t SpawnCostPerTask = 500;
+/// One ss-wait/ss-signal or queue op on the critical path (core-to-core
+/// latency at ~10 interpreted instructions per 100ns).
+inline constexpr uint64_t SyncCostPerOp = 20;
+
+/// Modeled time of one dispatched region.
+uint64_t regionTime(const nir::DispatchRecord &R);
+
+/// Modeled time of a run that retired \p Retired instructions in total
+/// and dispatched \p Records: the work outside tasks as retired, each
+/// region at regionTime.
+uint64_t runTime(uint64_t Retired,
+                 const std::vector<nir::DispatchRecord> &Records);
+
+} // namespace perfmodel
 
 /// The lowercase names used in task metadata, plan serialization, and
 /// CLI flags ("doall" / "helix" / "dswp" / "spec-doall").
@@ -84,13 +116,13 @@ struct LoopPlan {
 };
 
 /// Profile-derived inputs to a cost estimate, in interpreter-instruction
-/// units (the figure-5 performance model's currency). Defaults mirror
-/// bench/BenchUtils.h PerfModel so modeled and measured time agree.
+/// units (the figure-5 performance model's currency). Overheads default
+/// to perfmodel's so modeled and measured time agree.
 struct CostQuery {
-  double TripCount = 128.0;      ///< average iterations per invocation
-  double Invocations = 1.0;      ///< loop invocations over the whole run
-  double SpawnCostPerTask = 500; ///< pool dispatch+park per task
-  double SyncCost = 20;          ///< one gate wait/signal or queue op
+  double TripCount = 128.0; ///< average iterations per invocation
+  double Invocations = 1.0; ///< loop invocations over the whole run
+  double SpawnCostPerTask = perfmodel::SpawnCostPerTask;
+  double SyncCost = perfmodel::SyncCostPerOp;
   /// Dynamic-to-static work ratio for one iteration. Legality weights
   /// count each instruction of the loop body once, but a body that
   /// contains a nested loop executes those instructions per inner trip;
@@ -179,9 +211,6 @@ public:
   /// The plan this technique's options imply (worker count, chunk).
   virtual LoopPlan defaultPlan() const = 0;
 
-  /// Hotness floor from the technique's options (needs PRO when > 0).
-  virtual double minimumHotness() const = 0;
-
   /// Applies this technique to every eligible loop (outermost first;
   /// loops nested in an already parallelized loop are skipped) — the
   /// technique-forced planner sweep. Returns decisions.
@@ -193,9 +222,11 @@ protected:
   Noelle &N;
 };
 
-/// Factory over the three techniques with default options at
-/// \p NumCores workers (legacy thresholds; pass options directly to the
-/// concrete classes for anything finer).
+/// Factory over the techniques at \p NumCores workers with the paper's
+/// per-tool profitability gates, which the forced sweep (run()) honors:
+/// HELIX declines loops modeled below 1.05x, DSWP pipelines whose stages
+/// average under 30 instructions. planner::makeTechnique builds the same
+/// techniques with the gates off.
 std::unique_ptr<ParallelizationTechnique>
 createTechnique(TechniqueKind K, Noelle &N, unsigned NumCores = 4);
 

@@ -44,8 +44,7 @@ public:
                          const CostQuery &Q) const override;
 
   LoopPlan defaultPlan() const override {
-    return {TechniqueKind::SpecDOALL, Opts.NumCores,
-            std::max(1u, Opts.ChunkGrain)};
+    return {TechniqueKind::SpecDOALL, Opts.NumCores, 1};
   }
 
 protected:

@@ -250,10 +250,10 @@ TEST(DOALLTest, NestedLoopParallelizesOuterOnly) {
 }
 
 TEST(DOALLTest, PerformanceModelShowsSpeedup) {
-  // The evaluation host may be single-core, so speedup is computed with
-  // the instruction-level performance model: per-task retired
-  // instructions are recorded by every dispatch, and the parallel "time"
-  // is serial work + the max per-task work of each region.
+  // Speedup under the instruction-level performance model: per-task
+  // retired instructions are recorded by every dispatch, and the
+  // parallel "time" is serial work + the max per-task work of each
+  // region.
   const char *Src = R"(
     double out[200];
     int main() {

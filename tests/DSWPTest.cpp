@@ -100,8 +100,7 @@ TEST(DSWPTest, RespectsBackwardDependences) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, Src);
   Noelle N(*M);
-  DSWP Tool(N);
-  for (const auto &D : Tool.run())
+  for (const auto &D : createTechnique(TechniqueKind::DSWP, N)->run())
     EXPECT_FALSE(D.Parallelized) << "merged recurrences cannot pipeline";
 }
 

@@ -156,8 +156,7 @@ TEST(HELIXTest, RejectsConditionalSequentialWork) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, Src);
   Noelle N(*M);
-  HELIX Tool(N);
-  for (const auto &D : Tool.run())
+  for (const auto &D : createTechnique(TechniqueKind::HELIX, N)->run())
     EXPECT_FALSE(D.Parallelized) << D.FunctionName << " loop " << D.LoopID;
 }
 

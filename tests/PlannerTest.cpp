@@ -4,14 +4,17 @@
 /// Planner tests: plan determinism, cost-model monotonicity, plan
 /// serialization and embedding round trips, plan auditing
 /// (verify::checkPlan) of seeded-bad and stale plans, one-shot
-/// plan→apply semantic preservation, nested planning, and plan-epoch
-/// invalidation of the runtime's prepared-task memo.
+/// plan→apply semantic preservation, nested planning, plan-epoch
+/// invalidation of the runtime's prepared-task memo, and the numbers
+/// of the shared Figure-5 performance model and its feedback pass.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "frontend/MiniC.h"
 #include "ir/IDs.h"
+#include "planner/Feedback.h"
 #include "planner/Planner.h"
+#include "verify/CheckMetadata.h"
 #include "runtime/ParallelRuntime.h"
 #include "verify/NoelleCheck.h"
 #include "verify/PlanCheck.h"
@@ -130,6 +133,56 @@ TEST(PlannerTest, CostModelMonotonicPastTheKnee) {
     EXPECT_GE(Times[I], Times[I - 1])
         << "more workers estimated cheaper past the knee at W="
         << Knee + 1;
+}
+
+/// Two regions of one loop (header ID 42, task "main"): a HELIX-like
+/// region bounded by its busiest task plus sync ops, and one bounded by
+/// its serialized segment work.
+std::vector<nir::DispatchRecord> syntheticRecords() {
+  nir::DispatchRecord A;
+  A.NumTasks = 4;
+  A.MaxTaskInstructions = 1000;
+  A.TotalTaskInstructions = 3000;
+  A.MaxTaskSyncOps = 10;
+  A.TotalSegmentInstructions = 500;
+  A.TaskName = "main";
+  nir::DispatchRecord B;
+  B.NumTasks = 2;
+  B.MaxTaskInstructions = 100;
+  B.TotalTaskInstructions = 200;
+  B.TotalSegmentInstructions = 900;
+  B.TaskName = "main";
+  return {A, B};
+}
+
+TEST(PlannerTest, PerfModelPinsSpawnAndSyncCosts) {
+  std::vector<nir::DispatchRecord> R = syntheticRecords();
+  // max(1000 + 10*20, 500) + 4*500 and max(100 + 0*20, 900) + 2*500.
+  EXPECT_EQ(perfmodel::regionTime(R[0]), 3200u);
+  EXPECT_EQ(perfmodel::regionTime(R[1]), 1900u);
+  // retired - task work + the regions: 10000 - 3200 + 5100.
+  EXPECT_EQ(perfmodel::runTime(10000, R), 11900u);
+  EXPECT_EQ(perfmodel::runTime(10000, {}), 10000u);
+}
+
+TEST(PlannerTest, FeedbackWritesSeqOverPar) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, ReductionSrc);
+  M->getFunction("main")->setMetadata(verify::TaskOriginKey, "42");
+  planner::ProgramPlan Plan;
+  planner::PlanEntry Hit;
+  Hit.HeaderInstID = 42;
+  Hit.SpeedupMilli = 2000;
+  planner::PlanEntry Miss;
+  Miss.HeaderInstID = 7;
+  Plan.Entries = {Hit, Miss};
+  planner::FeedbackResult Res =
+      planner::applyMeasuredSpeedups(Plan, *M, syntheticRecords());
+  // Seq = 3000 + 200 task instructions, Par = 3200 + 1900 modeled.
+  EXPECT_EQ(Plan.Entries[0].MeasuredMilli, 3200 * 1000 / 5100);
+  EXPECT_EQ(Plan.Entries[1].MeasuredMilli, 0);
+  EXPECT_EQ(Res.EntriesMeasured, 1u);
+  EXPECT_EQ(Res.Shortfalls, 1u) << "0.627x measured against 2x modeled";
 }
 
 TEST(PlannerTest, SerializeRoundTripIsByteIdentical) {

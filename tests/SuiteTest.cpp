@@ -66,10 +66,7 @@ TEST_P(SuiteBenchmark, HELIXPreservesResult) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B->Source);
   Noelle N(*M);
-  HELIXOptions Opts;
-  Opts.NumCores = 4;
-  HELIX Tool(N, Opts);
-  Tool.run();
+  createTechnique(TechniqueKind::HELIX, N, 4)->run();
   ASSERT_TRUE(nir::moduleVerifies(*M)) << B->Name;
   ExecutionEngine E(*M);
   registerParallelRuntime(E);
@@ -82,10 +79,7 @@ TEST_P(SuiteBenchmark, DSWPPreservesResult) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B->Source);
   Noelle N(*M);
-  DSWPOptions Opts;
-  Opts.NumCores = 2;
-  DSWP Tool(N, Opts);
-  Tool.run();
+  createTechnique(TechniqueKind::DSWP, N, 2)->run();
   ASSERT_TRUE(nir::moduleVerifies(*M)) << B->Name;
   ExecutionEngine E(*M);
   registerParallelRuntime(E);

@@ -170,11 +170,10 @@ TEST(ToolsTest, Figure1PipelineEndToEnd) {
 
   auto Arch = tools::archDescribe(false);
   auto N = tools::load(*M);
-  HELIXOptions HO;
-  HO.NumCores = std::min(4u, Arch.getNumLogicalCores() * 4);
-  HELIX Tool(*N, HO);
+  auto Tool = createTechnique(TechniqueKind::HELIX, *N,
+                              std::min(4u, Arch.getNumLogicalCores() * 4));
   unsigned Done = 0;
-  for (const auto &D : Tool.run())
+  for (const auto &D : Tool->run())
     Done += D.Parallelized;
   EXPECT_GE(Done, 1u);
 

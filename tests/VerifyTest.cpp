@@ -376,7 +376,7 @@ TEST(VerifyTest, LintFlagsUninitializedRead) {
   B.createRet(V);
 
   verify::CheckReport Rep;
-  verify::lintModule(M, verify::LintOptions{}, Rep);
+  verify::lintModule(M, Rep);
   EXPECT_GE(Rep.count(verify::DiagKind::UninitializedRead), 1u) << Rep.str();
 }
 
@@ -392,7 +392,7 @@ TEST(VerifyTest, LintAcceptsStoreBeforeLoad) {
   B.createRet(V);
 
   verify::CheckReport Rep;
-  verify::lintModule(M, verify::LintOptions{}, Rep);
+  verify::lintModule(M, Rep);
   EXPECT_EQ(Rep.count(verify::DiagKind::UninitializedRead), 0u) << Rep.str();
 }
 
@@ -421,7 +421,7 @@ TEST(VerifyTest, LintFlagsStoreOnlyOnOnePath) {
   B.createRet(V);
 
   verify::CheckReport Rep;
-  verify::lintModule(M, verify::LintOptions{}, Rep);
+  verify::lintModule(M, Rep);
   EXPECT_GE(Rep.count(verify::DiagKind::UninitializedRead), 1u) << Rep.str();
 }
 
@@ -436,7 +436,7 @@ TEST(VerifyTest, LintFlagsDeadStore) {
   B.createRet(Ctx.getInt64(0));
 
   verify::CheckReport Rep;
-  verify::lintModule(M, verify::LintOptions{}, Rep);
+  verify::lintModule(M, Rep);
   EXPECT_GE(Rep.count(verify::DiagKind::DeadStore), 1u) << Rep.str();
 }
 
@@ -453,7 +453,7 @@ TEST(VerifyTest, LintFlagsUncheckedHeapHandle) {
   B.createRet(V);
 
   verify::CheckReport Rep;
-  verify::lintModule(M, verify::LintOptions{}, Rep);
+  verify::lintModule(M, Rep);
   EXPECT_GE(Rep.count(verify::DiagKind::NullDeref), 1u) << Rep.str();
 }
 
@@ -482,7 +482,7 @@ TEST(VerifyTest, LintAcceptsNullCheckedHeapHandle) {
   B.createRet(V);
 
   verify::CheckReport Rep;
-  verify::lintModule(M, verify::LintOptions{}, Rep);
+  verify::lintModule(M, Rep);
   EXPECT_EQ(Rep.count(verify::DiagKind::NullDeref), 0u) << Rep.str();
 }
 

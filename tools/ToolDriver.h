@@ -35,28 +35,6 @@ inline void listKernels() {
     std::printf("%-24s %s\n", B.Name.c_str(), B.Suite.c_str());
 }
 
-/// Resolves \p Input to MiniC source: benchmark kernel by name first,
-/// readable file second. Errors print under \p Tool's name.
-inline bool resolveSource(const char *Tool, const std::string &Input,
-                          std::string &Source) {
-  if (const bench::Benchmark *B = bench::findBenchmark(Input)) {
-    Source = B->Source;
-    return true;
-  }
-  std::ifstream In(Input);
-  if (!In) {
-    std::fprintf(stderr,
-                 "%s: '%s' is neither a benchmark kernel nor a "
-                 "readable file (try --list)\n",
-                 Tool, Input.c_str());
-    return false;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Source = SS.str();
-  return true;
-}
-
 /// Materializes \p Input as a module: a benchmark kernel or MiniC file
 /// compiles; a file ending in .nir parses as IR text.
 inline std::unique_ptr<nir::Module>

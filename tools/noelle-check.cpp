@@ -5,12 +5,13 @@
 /// race detector (command-line driver).
 ///
 /// Usage:
-///   noelle-check [options] <kernel-name | minic-file>
+///   noelle-check [options] <kernel-name | minic-file | nir-file>
 ///
-/// The input is compiled (a benchmark-suite kernel by name, or a MiniC
-/// source file), a pre-transform snapshot is captured (IR text plus the
-/// embedded PDG cache), the requested parallelizing transforms run, and
-/// the transformed module is checked:
+/// The input is loaded (a benchmark-suite kernel by name, a MiniC source
+/// file, or parsed NIR text for files ending in .nir), a pre-transform
+/// snapshot is captured (IR text plus the embedded PDG cache), the
+/// requested parallelizing transforms run, and the transformed module
+/// is checked:
 ///   - structural + dominance SSA verification (nir::verifyModule);
 ///   - legality: every loop-carried dependence of the original loop must
 ///     be discharged by a legal mechanism of the transform that claimed
@@ -66,17 +67,12 @@
 
 #include "ToolDriver.h"
 
-#include "frontend/MiniC.h"
 #include "noelle/MemDepProfiler.h"
 #include "noelle/Noelle.h"
 #include "opt/Passes.h"
 #include "planner/Planner.h"
 #include "verify/NoelleCheck.h"
 #include "verify/PlanCheck.h"
-#include "xforms/DOALL.h"
-#include "xforms/DSWP.h"
-#include "xforms/HELIX.h"
-#include "xforms/SpecDOALL.h"
 
 #include <chrono>
 #include <cstdio>
@@ -111,7 +107,7 @@ void printUsage() {
                "[--speculative] [--cores=N] [--opt] [--lint] [--no-races] "
                "[--race-rules=LIST] [--stats] [--metrics=F] "
                "[--no-legality] [--plan] [--plan-file=F] "
-               "[--list] <kernel-name | minic-file>\n");
+               "[--list] <kernel|file.minic|file.nir>\n");
 }
 
 /// Parses the --race-rules value: "all", "legacy", "none", or a comma
@@ -253,40 +249,33 @@ bool parseArgs(int Argc, char **Argv, CLIOptions &Opts) {
 /// Plan-audit mode: computes (or loads) a plan for the module and
 /// verifies it — hash binding, entry well-formedness, loop existence,
 /// and per-entry technique legality — without transforming anything.
-unsigned checkPlanMode(const std::string &Source, const CLIOptions &Opts) {
-  nir::Context Ctx;
-  std::string Error;
-  auto M = minic::compileMiniC(Ctx, Source, Error);
-  if (!M) {
-    std::fprintf(stderr, "noelle-check: compile error: %s\n", Error.c_str());
-    return 1;
-  }
+unsigned checkPlanMode(nir::Module &M, const CLIOptions &Opts) {
   if (Opts.Optimize)
-    opt::runPipeline(*M);
+    opt::runPipeline(M);
 
   // Speculative plan entries need the profile both to be enumerated and
   // to re-derive their premises during the audit. Embedding is hash-
   // neutral (the content hash is metadata-agnostic), so a --plan-file's
   // hash binding still holds.
   if (Opts.Speculative)
-    profileMemDeps(*M).embed(*M);
+    profileMemDeps(M).embed(M);
 
   planner::ProgramPlan Plan;
   if (!Opts.PlanFile.empty()) {
     std::string Err;
-    if (!tooldriver::loadPlan(Opts.PlanFile, *M, Plan, Err)) {
+    if (!tooldriver::loadPlan(Opts.PlanFile, M, Plan, Err)) {
       std::fprintf(stderr, "noelle-check: %s\n", Err.c_str());
       return 1;
     }
   } else {
-    Noelle N(*M);
+    Noelle N(M);
     planner::PlannerOptions PO;
     PO.MaxWorkers = Opts.Cores;
     PO.EnableSpeculation = Opts.Speculative;
     Plan = planner::Planner(N, PO).plan();
   }
 
-  verify::CheckReport Rep = verify::checkPlan(*M, Plan);
+  verify::CheckReport Rep = verify::checkPlan(M, Plan);
   std::printf("== plan: %zu entr%s, %zu finding(s)\n", Plan.Entries.size(),
               Plan.Entries.size() == 1 ? "y" : "ies",
               Rep.diagnostics().size());
@@ -295,60 +284,30 @@ unsigned checkPlanMode(const std::string &Source, const CLIOptions &Opts) {
   return static_cast<unsigned>(Rep.diagnostics().size());
 }
 
-/// Compiles, transforms, and checks one (source, transform) pair.
-/// Returns the number of diagnostics.
-unsigned checkOne(const std::string &Source, const std::string &Transform,
+/// Transforms and checks one freshly loaded module. Returns the number
+/// of diagnostics.
+unsigned checkOne(nir::Module &M, const std::string &Transform,
                   const CLIOptions &Opts) {
-  nir::Context Ctx;
-  std::string Error;
-  auto M = minic::compileMiniC(Ctx, Source, Error);
-  if (!M) {
-    std::fprintf(stderr, "noelle-check: compile error: %s\n", Error.c_str());
-    return 1;
-  }
-
   // With --opt the pipeline runs first, so the parallelizers (and the
   // legality snapshot) see the optimized loops — the production order.
   if (Opts.Optimize)
-    opt::runPipeline(*M);
+    opt::runPipeline(M);
 
   // Speculation needs its evidence base before the snapshot: profile the
   // original module and embed the result, so both the snapshot text and
   // the transformed module carry it.
   if (Transform == "spec")
-    profileMemDeps(*M).embed(*M);
+    profileMemDeps(M).embed(M);
 
-  verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
+  verify::PreTransformSnapshot Snap = verify::captureForCheck(M);
 
-  Noelle N(*M);
+  Noelle N(M);
+  TechniqueKind K = TechniqueKind::SpecDOALL;
+  if (Transform != "spec")
+    techniqueFromName(Transform, K);
   unsigned Parallelized = 0;
-  if (Transform == "spec") {
-    DOALLOptions DO;
-    DO.NumCores = Opts.Cores;
-    SpecDOALL Tool(N, DO);
-    for (const auto &D : Tool.run())
-      Parallelized += D.Parallelized;
-  } else if (Transform == "doall") {
-    DOALLOptions DO;
-    DO.NumCores = Opts.Cores;
-    DOALL Tool(N, DO);
-    for (const auto &D : Tool.run())
-      Parallelized += D.Parallelized;
-  } else if (Transform == "helix") {
-    HELIXOptions HO;
-    HO.NumCores = Opts.Cores;
-    HO.MinimumEstimatedSpeedup = 0.0;
-    HELIX Tool(N, HO);
-    for (const auto &D : Tool.run())
-      Parallelized += D.Parallelized;
-  } else { // dswp
-    DSWPOptions SO;
-    SO.NumCores = Opts.Cores;
-    SO.MinimumStageWeight = 0;
-    DSWP Tool(N, SO);
-    for (const auto &D : Tool.run())
-      Parallelized += D.Parallelized;
-  }
+  for (const auto &D : planner::makeTechnique(K, N, Opts.Cores)->run())
+    Parallelized += D.Parallelized;
 
   verify::CheckOptions CO;
   CO.RunLegality = Opts.Legality;
@@ -359,10 +318,10 @@ unsigned checkOne(const std::string &Source, const std::string &Transform,
   if (Opts.Stats)
     CO.Races.Stats = &Stats;
   auto T0 = std::chrono::steady_clock::now();
-  verify::CheckReport Rep = verify::checkModule(*M, Snap, CO);
+  verify::CheckReport Rep = verify::checkModule(M, Snap, CO);
   auto T1 = std::chrono::steady_clock::now();
   if (Opts.Lint)
-    verify::lintModule(*M, verify::LintOptions{}, Rep);
+    verify::lintModule(M, Rep);
 
   std::printf("== %s: %u loop(s) parallelized, %zu finding(s)\n",
               Transform.c_str(), Parallelized, Rep.diagnostics().size());
@@ -399,16 +358,18 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, Opts))
     return 2;
 
-  std::string Source;
-  if (!tooldriver::resolveSource("noelle-check", Opts.Input, Source))
-    return 2;
-
+  // Each audit starts from a fresh load: the transforms rewrite the
+  // module.
   unsigned Findings = 0;
-  if (Opts.PlanMode)
-    Findings = checkPlanMode(Source, Opts);
-  else
-    for (const std::string &T : Opts.Transforms)
-      Findings += checkOne(Source, T, Opts);
+  size_t Audits = Opts.PlanMode ? 1 : Opts.Transforms.size();
+  for (size_t I = 0; I < Audits; ++I) {
+    nir::Context Ctx;
+    auto M = tooldriver::loadInputModule("noelle-check", Ctx, Opts.Input);
+    if (!M)
+      return 2;
+    Findings += Opts.PlanMode ? checkPlanMode(*M, Opts)
+                              : checkOne(*M, Opts.Transforms[I], Opts);
+  }
 
   if (Findings == 0)
     std::printf("noelle-check: clean\n");

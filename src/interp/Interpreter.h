@@ -182,6 +182,8 @@ public:
   void setObserver(ExecutionObserver *O) { Observer = O; }
 
   /// Total instructions retired across all threads since construction.
+  /// A frame's count joins the total when the frame returns, so a read
+  /// during a run misses the frames still active.
   uint64_t getInstructionsExecuted() const { return InstructionsRetired; }
 
   /// Instructions retired by the calling thread (reset + read around a

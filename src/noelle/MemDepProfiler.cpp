@@ -4,6 +4,7 @@
 #include "ir/Artifact.h"
 #include "ir/IDs.h"
 #include "ir/Instructions.h"
+#include "support/PageMap.h"
 
 #include <array>
 #include <cinttypes>
@@ -177,16 +178,14 @@ struct MemDepProfiler::Impl {
   };
 
   /// Shadow memory in pages of ByteState, one page per 4 KiB of address
-  /// space, allocated zeroed on first touch. Accesses cluster, so the
-  /// last page used is cached in front of the page map.
+  /// space.
   static constexpr unsigned PageBits = 12;
-  using ShadowPage = std::array<ByteState, size_t(1) << PageBits>;
+  using ShadowPages =
+      nir::PageMap<std::array<ByteState, size_t(1) << PageBits>, PageBits>;
 
   MemDepProfile Profile;
   std::vector<Frame> Stack;
-  std::unordered_map<uint64_t, std::unique_ptr<ShadowPage>> Shadow;
-  uint64_t LastPageNo = ~uint64_t(0);
-  ShadowPage *LastPage = nullptr;
+  ShadowPages Shadow;
   uint64_t Now = 0; ///< memory-access clock (monotone)
 
   // Static module indexes, built once at construction.
@@ -313,15 +312,7 @@ struct MemDepProfiler::Impl {
   }
 
   ByteState &shadow(uint64_t Addr) {
-    const uint64_t PageNo = Addr >> PageBits;
-    if (PageNo != LastPageNo) {
-      std::unique_ptr<ShadowPage> &Page = Shadow[PageNo];
-      if (!Page)
-        Page = std::make_unique<ShadowPage>();
-      LastPageNo = PageNo;
-      LastPage = Page.get();
-    }
-    return (*LastPage)[Addr & ((uint64_t(1) << PageBits) - 1)];
+    return Shadow.page(Addr)[ShadowPages::offset(Addr)];
   }
 
   void onLoad(const Instruction *I, uint64_t Addr, unsigned Bytes) {

@@ -3,6 +3,7 @@
 #include "ir/Instructions.h"
 #include "noelle/Architecture.h"
 #include "runtime/ThreadPool.h"
+#include "support/PageMap.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace noelle;
@@ -32,29 +34,25 @@ namespace {
 /// performance model.
 thread_local uint64_t ThreadSyncOps = 0;
 
-/// Per-logical-task write-log/read-set journal backing speculative
-/// DOALL. Speculative task clones route every (non-task-private) load
-/// and store through the noelle_spec_* externals; stores are deferred
-/// into Pending (byte-granular, read-your-own-writes), and the byte
-/// ranges touched are accumulated for the commit-time conflict check.
-/// Ranges coalesce with the most recent entry (stride-1 access streams
-/// collapse), and are sorted/merged once at validation.
-struct SpecJournal {
-  /// Deferred writes: final value of every byte this task stored.
-  std::unordered_map<uint64_t, uint8_t> Pending;
-  /// Byte ranges [lo, hi) read / written, in access order.
-  std::vector<std::pair<uint64_t, uint64_t>> Reads;
-  std::vector<std::pair<uint64_t, uint64_t>> Writes;
+/// One 4 KiB page of a speculative task's journal: the bytes the task
+/// stored there and byte bitmaps of what it wrote and read.
+struct JournalPage {
+  static constexpr unsigned Bits = 12;
+  static constexpr unsigned Words = (1u << Bits) / 64;
+  uint64_t Written[Words] = {};
+  uint64_t Read[Words] = {};
+  uint8_t Data[1u << Bits];
+};
+using JournalPages = nir::PageMap<JournalPage, JournalPage::Bits>;
 
-  static void note(std::vector<std::pair<uint64_t, uint64_t>> &V,
-                   uint64_t Lo, uint64_t Hi) {
-    if (!V.empty() && Lo >= V.back().first && Lo <= V.back().second) {
-      if (Hi > V.back().second)
-        V.back().second = Hi;
-      return;
-    }
-    V.push_back({Lo, Hi});
-  }
+/// Per-logical-task journal backing speculative DOALL. Speculative task
+/// clones route every (non-task-private) load and store through the
+/// noelle_spec_* externals; stores are deferred into the journal's pages
+/// (byte-granular, read-your-own-writes) and every byte touched is marked
+/// for the commit-time conflict check. Aligned to a cache line so
+/// neighbouring tasks' journals do not share one.
+struct alignas(64) SpecJournal {
+  JournalPages Pages;
 };
 
 /// Journal of the speculative task currently executing on this thread
@@ -64,20 +62,20 @@ struct SpecJournal {
 thread_local SpecJournal *CurSpecJournal = nullptr;
 
 /// Reads \p Bytes bytes at \p Addr through the current journal:
-/// journaled bytes win over memory (read-your-own-writes), and the
-/// range is recorded as read.
+/// journaled bytes win over memory (read-your-own-writes), and each byte
+/// is marked read.
 void specLoadBytes(uint64_t Addr, unsigned Bytes, uint8_t *Out) {
+  std::memcpy(Out, reinterpret_cast<const void *>(Addr), Bytes);
   SpecJournal *J = CurSpecJournal;
-  if (!J) {
-    std::memcpy(Out, reinterpret_cast<const void *>(Addr), Bytes);
+  if (!J)
     return;
-  }
-  SpecJournal::note(J->Reads, Addr, Addr + Bytes);
   for (unsigned I = 0; I < Bytes; ++I) {
-    auto It = J->Pending.find(Addr + I);
-    Out[I] = It != J->Pending.end()
-                 ? It->second
-                 : *reinterpret_cast<const uint8_t *>(Addr + I);
+    JournalPage &P = J->Pages.page(Addr + I);
+    const uint64_t Off = JournalPages::offset(Addr + I);
+    const uint64_t Bit = uint64_t(1) << (Off % 64);
+    P.Read[Off / 64] |= Bit;
+    if (P.Written[Off / 64] & Bit)
+      Out[I] = P.Data[Off];
   }
 }
 
@@ -89,39 +87,55 @@ void specStoreBytes(uint64_t Addr, unsigned Bytes, const uint8_t *Src) {
     std::memcpy(reinterpret_cast<void *>(Addr), Src, Bytes);
     return;
   }
-  SpecJournal::note(J->Writes, Addr, Addr + Bytes);
-  for (unsigned I = 0; I < Bytes; ++I)
-    J->Pending[Addr + I] = Src[I];
+  for (unsigned I = 0; I < Bytes; ++I) {
+    JournalPage &P = J->Pages.page(Addr + I);
+    const uint64_t Off = JournalPages::offset(Addr + I);
+    P.Written[Off / 64] |= uint64_t(1) << (Off % 64);
+    P.Data[Off] = Src[I];
+  }
 }
 
-/// Sorts and merges a journal's range list into disjoint ascending
-/// intervals.
-std::vector<std::pair<uint64_t, uint64_t>>
-normalizeRanges(std::vector<std::pair<uint64_t, uint64_t>> V) {
-  std::sort(V.begin(), V.end());
-  std::vector<std::pair<uint64_t, uint64_t>> Out;
-  for (const auto &R : V) {
-    if (!Out.empty() && R.first <= Out.back().second)
-      Out.back().second = std::max(Out.back().second, R.second);
-    else
-      Out.push_back(R);
-  }
-  return Out;
-}
-
-/// True when two disjoint-sorted interval lists share any byte.
-bool rangesIntersect(const std::vector<std::pair<uint64_t, uint64_t>> &A,
-                     const std::vector<std::pair<uint64_t, uint64_t>> &B) {
-  size_t I = 0, J = 0;
-  while (I < A.size() && J < B.size()) {
-    if (A[I].second <= B[J].first)
-      ++I;
-    else if (B[J].second <= A[I].first)
-      ++J;
-    else
-      return true;
-  }
+/// True when some task's written bytes overlap another task's read or
+/// written bytes. Each task's pages are checked against the union of the
+/// bitmaps the earlier tasks left on the same page, so one pass over all
+/// pages covers every pair of tasks.
+bool journalsConflict(const std::vector<SpecJournal> &Journals) {
+  struct Seen {
+    uint64_t Written[JournalPage::Words] = {};
+    uint64_t Read[JournalPage::Words] = {};
+  };
+  std::unordered_map<uint64_t, Seen> Union;
+  for (const SpecJournal &J : Journals)
+    for (const auto &[PageNo, P] : J.Pages) {
+      Seen &U = Union[PageNo];
+      for (unsigned K = 0; K < JournalPage::Words; ++K) {
+        if ((P->Written[K] & (U.Written[K] | U.Read[K])) |
+            (P->Read[K] & U.Written[K]))
+          return true;
+        U.Written[K] |= P->Written[K];
+        U.Read[K] |= P->Read[K];
+      }
+    }
   return false;
+}
+
+/// Copies a journal's written bytes to memory: a whole 64-byte run when
+/// its mask word is full, the marked bytes otherwise.
+void commitJournal(const SpecJournal &J) {
+  for (const auto &[PageNo, P] : J.Pages) {
+    auto *Base = reinterpret_cast<uint8_t *>(JournalPages::base(PageNo));
+    for (unsigned K = 0; K < JournalPage::Words; ++K) {
+      uint64_t M = P->Written[K];
+      if (M == ~uint64_t(0)) {
+        std::memcpy(Base + K * 64, P->Data + K * 64, 64);
+        continue;
+      }
+      for (; M; M &= M - 1) {
+        const unsigned B = K * 64 + static_cast<unsigned>(__builtin_ctzll(M));
+        Base[B] = P->Data[B];
+      }
+    }
+  }
 }
 
 /// Segment-work accounting: noelle_ss_wait checkpoints the thread's
@@ -411,26 +425,11 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
         // across the task partition.
         const uint64_t ValT0 =
             telemetry::traceEnabled() ? telemetry::nowNs() : 0;
-        std::vector<std::vector<std::pair<uint64_t, uint64_t>>> R, W;
-        R.reserve(Journals.size());
-        W.reserve(Journals.size());
-        for (const SpecJournal &J : Journals) {
-          R.push_back(normalizeRanges(J.Reads));
-          W.push_back(normalizeRanges(J.Writes));
-        }
-        bool Conflict = false;
-        for (size_t I = 0; I < Journals.size() && !Conflict; ++I)
-          for (size_t J = I + 1; J < Journals.size() && !Conflict; ++J)
-            Conflict = rangesIntersect(W[I], W[J]) ||
-                       rangesIntersect(W[I], R[J]) ||
-                       rangesIntersect(W[J], R[I]);
-
-        if (!Conflict) {
+        if (!journalsConflict(Journals)) {
           // Commit: journals hold disjoint written bytes (no write-write
           // overlap), so replay order across tasks is immaterial.
           for (const SpecJournal &J : Journals)
-            for (const auto &KV : J.Pending)
-              *reinterpret_cast<uint8_t *>(KV.first) = KV.second;
+            commitJournal(J);
           telemetry::count(telemetry::Counter::SpecCommits);
           if (ValT0)
             telemetry::traceSpan("spec.commit", ValT0, telemetry::nowNs(),

@@ -25,7 +25,7 @@
 ///       noelle_dispatch_chunked, but each logical task defers its
 ///       stores into a private write-log journal (the task body routes
 ///       memory accesses through the noelle_spec_* accessors below) and
-///       records the byte ranges it read/wrote. At the join the runtime
+///       marks every byte it read/wrote. At the join the runtime
 ///       validates the speculation: if no task's written bytes overlap
 ///       another task's read or written bytes, the journals commit and
 ///       execution is indistinguishable from a legal DOALL; otherwise

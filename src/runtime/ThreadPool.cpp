@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <pthread.h>
+#include <sched.h>
+
 using namespace nir;
 namespace telemetry = noelle::telemetry;
 
@@ -34,6 +37,12 @@ struct ThreadPool::Latch {
 
 ThreadPool::ThreadPool() : Workers(MaxWorkers) {
   Threads.reserve(64);
+  cpu_set_t Mask;
+  CPU_ZERO(&Mask);
+  if (sched_getaffinity(0, sizeof(Mask), &Mask) == 0 && CPU_COUNT(&Mask) > 1)
+    for (int C = 0; C < CPU_SETSIZE; ++C)
+      if (CPU_ISSET(C, &Mask))
+        CPUs.push_back(C);
 }
 
 ThreadPool::~ThreadPool() {
@@ -52,6 +61,15 @@ void ThreadPool::ensureWorkers(unsigned Target) {
   while (Cur < Target) {
     Workers[Cur] = std::make_unique<Worker>();
     Threads.emplace_back(&ThreadPool::workerLoop, this, Cur);
+    // Placement is best effort: a worker the kernel refuses to pin runs
+    // unpinned, which costs only time.
+    if (!CPUs.empty()) {
+      cpu_set_t One;
+      CPU_ZERO(&One);
+      CPU_SET(CPUs[Cur % CPUs.size()], &One);
+      pthread_setaffinity_np(Threads.back().native_handle(), sizeof(One),
+                             &One);
+    }
     ThreadsCreated.fetch_add(1, std::memory_order_relaxed);
     ++Cur;
     // Publish the slot before the count so lock-free readers of

@@ -37,6 +37,14 @@ namespace nir {
 /// a worker even when all other jobs are blocked. Workers are never
 /// retired before the pool is destroyed, so repeated dispatches of the
 /// same width create no threads after the first ("warm-up") dispatch.
+///
+/// Placement: worker i is pinned to the i-th CPU of the creating
+/// thread's affinity mask, wrapping around. The kernel does not reliably
+/// move a thread off the CPU it was created or woken on (for example
+/// under a cpuset root with sched_load_balance = 0), so unpinned workers
+/// of one dispatch can end up time-sharing a single CPU. A one-CPU mask
+/// pins nothing. The cost: a pinned worker cannot leave a CPU that
+/// another process keeps busy (DESIGN.md §4, "Placement").
 class ThreadPool {
 public:
   using Job = std::function<void()>;
@@ -107,6 +115,9 @@ private:
   std::atomic<uint64_t> QueuedJobs{0};
   /// Round-robin placement cursor for new batches.
   std::atomic<unsigned> PushCursor{0};
+  /// CPUs of the creator's affinity mask, in ascending order; empty when
+  /// it holds a single CPU.
+  std::vector<int> CPUs;
   std::mutex PoolMutex;
   std::condition_variable WorkCV;
   bool ShuttingDown = false;

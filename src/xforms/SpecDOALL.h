@@ -8,9 +8,9 @@
 /// protocol. The task clone's loads and stores are routed through the
 /// noelle_spec_* journal accessors, an uninstrumented sequential clone
 /// is kept as the recovery path, and the region dispatches through
-/// noelle_dispatch_spec, which validates each worker's write ranges
-/// against every other worker's read/write sets at the join and rolls
-/// back to the sequential clone on conflict.
+/// noelle_dispatch_spec, which checks each task's written bytes against
+/// every other task's read and written bytes at the join and rolls back
+/// to the sequential clone on conflict.
 ///
 /// Restrictions of the v1 protocol (all checked in applicable()):
 ///  - the profile must have observed the loop (no evidence, no

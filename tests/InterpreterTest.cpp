@@ -382,9 +382,10 @@ TEST(InterpObserverTest, InstructionCountUnchangedByObserver) {
 
 TEST(InterpRetireTest, ExternalCallsSeeIdenticalCountsAcrossConfigs) {
   // The engine must flush retired instructions up to and including the
-  // call before entering an external, so the sequence of global counts
+  // call before entering an external, so the sequence of thread counts
   // seen by the external is pinned by the original instruction stream —
-  // independent of fusion, folding, and dispatch tier.
+  // independent of fusion, folding, and dispatch tier. The engine-wide
+  // count takes main's instructions when main returns.
   const char *Src = R"(
     extern int probe(int x);
     int a[64];
@@ -406,19 +407,26 @@ TEST(InterpRetireTest, ExternalCallsSeeIdenticalCountsAcrossConfigs) {
     ExecutionEngine E(*M, Opts);
     std::vector<uint64_t> Seq;
     E.registerExternal(
-        "probe", [&Seq](ExecutionEngine &Eng, const nir::CallInst *,
+        "probe", [&Seq](ExecutionEngine &, const nir::CallInst *,
                         const std::vector<RuntimeValue> &Args) {
-          Seq.push_back(Eng.getInstructionsExecuted());
+          Seq.push_back(ExecutionEngine::readThreadRetired());
           return RuntimeValue::ofInt(Args[0].I % 11);
         });
+    ExecutionEngine::resetThreadRetired();
     Rets.push_back(E.runMain());
+    EXPECT_EQ(E.getInstructionsExecuted(),
+              ExecutionEngine::readThreadRetired())
+        << Name;
     Sequences.push_back(std::move(Seq));
   }
   for (size_t I = 1; I < Sequences.size(); ++I) {
     EXPECT_EQ(Rets[I], Rets[0]);
     EXPECT_EQ(Sequences[I], Sequences[0]) << "config #" << I;
   }
-  EXPECT_EQ(Sequences[0].size(), 11u); // 10 in-loop probes + the final one
+  ASSERT_EQ(Sequences[0].size(), 11u); // 10 in-loop probes + the final one
+  EXPECT_GT(Sequences[0][0], 0u);
+  for (size_t I = 1; I < Sequences[0].size(); ++I)
+    EXPECT_LT(Sequences[0][I - 1], Sequences[0][I]) << "probe #" << I;
 }
 
 } // namespace

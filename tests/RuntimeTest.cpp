@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -120,6 +124,31 @@ TEST(ThreadPoolTest, ConcurrentBatchesFromMultipleThreads) {
     });
   Pool.run(std::move(Outer));
   EXPECT_EQ(Count.load(), 16);
+}
+
+TEST(ThreadPoolTest, SimultaneousJobsRunOnDistinctCPUs) {
+  // K jobs that wait for each other all run at once; each then records
+  // its CPU. Unpinned workers of a fresh pool may share one CPU (the
+  // kernel need not move a thread off the CPU it was created on), so the
+  // pool pins worker i to the i-th CPU of its creator's affinity mask.
+  cpu_set_t Mask;
+  CPU_ZERO(&Mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Mask), &Mask), 0);
+  const int K = std::min(4, CPU_COUNT(&Mask));
+  ThreadPool Pool;
+  std::atomic<int> Started{0};
+  std::vector<int> CPUs(K, -1);
+  std::vector<ThreadPool::Job> Jobs;
+  for (int I = 0; I < K; ++I)
+    Jobs.push_back([&Started, &CPUs, K, I] {
+      Started.fetch_add(1);
+      while (Started.load() < K)
+        std::this_thread::yield();
+      CPUs[I] = sched_getcpu();
+    });
+  Pool.run(std::move(Jobs));
+  EXPECT_EQ(std::set<int>(CPUs.begin(), CPUs.end()).size(),
+            static_cast<size_t>(K));
 }
 
 //===----------------------------------------------------------------------===//

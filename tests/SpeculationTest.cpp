@@ -194,15 +194,26 @@ const char *SeededSrc = R"(
   }
 )";
 
+/// The seeded kernel over `int data[2048]`, then the same kernel over
+/// `char data[2048]`. Iterations distribute cyclically, so in the second
+/// neighbouring tasks write different bytes of one 8-byte word: it must
+/// commit and roll back exactly like the first, which pins the journal's
+/// byte granularity.
+std::vector<std::string> seededSources() {
+  std::string Bytes = SeededSrc;
+  Bytes.replace(Bytes.find("int data["), 3, "char");
+  return {SeededSrc, Bytes};
+}
+
 struct SeqResult {
   int64_t Ret = 0;
   std::string Out;
 };
 
 /// Sequential ground truth for the seeded kernel at a given mode value.
-SeqResult runSeededSequential(int64_t Mode) {
+SeqResult runSeededSequential(int64_t Mode, const std::string &Src) {
   Context Ctx;
-  auto M = minic::compileMiniCOrDie(Ctx, SeededSrc);
+  auto M = minic::compileMiniCOrDie(Ctx, Src);
   M->getGlobal("mode")->setInitWords({Mode});
   ExecutionEngine E(*M);
   SeqResult R;
@@ -219,9 +230,10 @@ struct SpecModule {
 
 /// Profile (mode = 0), snapshot, and force-transform the seeded kernel
 /// with SpecDOALL. The caller owns mode's initializer from here on.
-SpecModule buildSeededSpec(Context &Ctx) {
+SpecModule buildSeededSpec(Context &Ctx,
+                           const std::string &Src = SeededSrc) {
   SpecModule R;
-  R.M = minic::compileMiniCOrDie(Ctx, SeededSrc);
+  R.M = minic::compileMiniCOrDie(Ctx, Src);
   profileMemDeps(*R.M).embed(*R.M);
   R.Snap = verify::captureForCheck(*R.M);
   Noelle N(*R.M);
@@ -255,45 +267,51 @@ SpecRun runWithTelemetry(nir::Module &M) {
 }
 
 TEST(SpeculationTest, CommitsAndMatchesSequentialWhenProfileHolds) {
-  SeqResult Seq = runSeededSequential(0);
+  for (const std::string &Src : seededSources()) {
+    SCOPED_TRACE(Src);
+    SeqResult Seq = runSeededSequential(0, Src);
 
-  Context Ctx;
-  SpecModule S = buildSeededSpec(Ctx);
-  ASSERT_GE(S.SpecLoops, 1u) << "seeded kernel did not speculate";
+    Context Ctx;
+    SpecModule S = buildSeededSpec(Ctx, Src);
+    ASSERT_GE(S.SpecLoops, 1u) << "seeded kernel did not speculate";
 
-  // The transformed module passes the full audit, speculation machinery
-  // included.
-  verify::CheckOptions CO;
-  CO.Speculative = true;
-  verify::CheckReport Rep = verify::checkModule(*S.M, S.Snap, CO);
-  EXPECT_TRUE(Rep.clean()) << Rep.str();
+    // The transformed module passes the full audit, speculation machinery
+    // included.
+    verify::CheckOptions CO;
+    CO.Speculative = true;
+    verify::CheckReport Rep = verify::checkModule(*S.M, S.Snap, CO);
+    EXPECT_TRUE(Rep.clean()) << Rep.str();
 
-  SpecRun R = runWithTelemetry(*S.M);
-  EXPECT_EQ(R.Ret, Seq.Ret);
-  EXPECT_EQ(R.Out, Seq.Out);
-  EXPECT_GT(R.Commits, 0u);
-  EXPECT_EQ(R.Misspecs, 0u)
-      << "profiled-clean input must not misspeculate";
+    SpecRun R = runWithTelemetry(*S.M);
+    EXPECT_EQ(R.Ret, Seq.Ret);
+    EXPECT_EQ(R.Out, Seq.Out);
+    EXPECT_GT(R.Commits, 0u);
+    EXPECT_EQ(R.Misspecs, 0u)
+        << "profiled-clean input must not misspeculate";
+  }
 }
 
 TEST(SpeculationTest, SeededMisspeculationDetectsAndRollsBack) {
-  SeqResult Seq = runSeededSequential(1);
+  for (const std::string &Src : seededSources()) {
+    SCOPED_TRACE(Src);
+    SeqResult Seq = runSeededSequential(1, Src);
 
-  Context Ctx;
-  SpecModule S = buildSeededSpec(Ctx);
-  ASSERT_GE(S.SpecLoops, 1u);
+    Context Ctx;
+    SpecModule S = buildSeededSpec(Ctx, Src);
+    ASSERT_GE(S.SpecLoops, 1u);
 
-  // Flip the input *after* the transform: the dependence the profile
-  // never saw now manifests on every invocation.
-  S.M->getGlobal("mode")->setInitWords({1});
+    // Flip the input *after* the transform: the dependence the profile
+    // never saw now manifests on every invocation.
+    S.M->getGlobal("mode")->setInitWords({1});
 
-  SpecRun R = runWithTelemetry(*S.M);
-  EXPECT_GT(R.Misspecs, 0u)
-      << "conflicting writes must fail write-log validation";
-  EXPECT_EQ(R.Ret, Seq.Ret)
-      << "rollback must reproduce the sequential result";
-  EXPECT_EQ(R.Out, Seq.Out)
-      << "rollback must reproduce the sequential output byte for byte";
+    SpecRun R = runWithTelemetry(*S.M);
+    EXPECT_GT(R.Misspecs, 0u)
+        << "conflicting writes must fail write-log validation";
+    EXPECT_EQ(R.Ret, Seq.Ret)
+        << "rollback must reproduce the sequential result";
+    EXPECT_EQ(R.Out, Seq.Out)
+        << "rollback must reproduce the sequential output byte for byte";
+  }
 }
 
 /// Regression: a profile collected before a code edit must not drive

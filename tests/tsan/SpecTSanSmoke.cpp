@@ -8,6 +8,9 @@
 /// once with the input flipped so every dispatch conflicts (rollback
 /// path: journal discard, sequential re-execution). A TSan report on
 /// either path indicts the write-log/commit protocol's synchronization.
+/// The same program also builds under -fsanitize=address,undefined
+/// (SpecAsanUbsanSmoke), which checks the journal's page and bitmap
+/// arithmetic and its masked commit.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -61,7 +61,7 @@ inline uint64_t countLoC(const std::string &RelDir,
   return Total;
 }
 
-/// Where every bench writes its BENCH_*.json: the build tree's bench/
+/// Where a bench writes its BENCH_*.json: the build tree's bench/
 /// directory.
 inline std::string outputPath(const std::string &Name) {
   return std::string(NOELLE_BENCH_OUTPUT_DIR) + "/" + Name;

@@ -1,54 +1,47 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Optimizer-pipeline ablation over the 20-kernel suite: each kernel is
+/// Optimizer-pipeline ablation over the benchmark suite: each kernel is
 /// compiled and executed under the full pipeline, under the pipeline
 /// with one pass knocked out (no-inline, no-gvn, no-licm, no-unroll,
 /// no-slp), and with the pipeline off entirely. Retired-instruction
-/// counts are the primary metric — deterministic, so a pass's
-/// contribution is exactly the retired-count delta its removal causes —
-/// with warm wall-clock recorded alongside. Every configuration must
-/// produce the same return value and byte-identical output as the
-/// unoptimized run; any divergence is a hard failure.
+/// counts are the metric — deterministic, so a pass's contribution is
+/// exactly the retired-count delta its removal causes. Every
+/// configuration must produce the same return value and byte-identical
+/// output as the unoptimized run.
 ///
-/// Emits BENCH_opt.json (benchutil::outputPath) with per-kernel per-config
-/// retired counts and the geomean retired-count reduction of the full
-/// pipeline (plus each ablation) over the unoptimized baseline.
+/// The unoptimized and fully optimized modules also run under every
+/// execution-engine configuration — {threaded, switch} dispatch ×
+/// decode-time optimization on/off, plus the observed tier — which must
+/// agree on result, output and retired count: dispatch tier and decode
+/// are observationally invisible, the invariance that pins Figure-5
+/// DispatchRecords.
 ///
-/// `--smoke` runs the same sweep with no warm repeats, for the
-/// bench-smoke ctest label; it still writes BENCH_opt.json.
+/// The output is deterministic (tests/golden/bench_opt.txt). Exits 1 if
+/// any configuration diverges or the full pipeline does not reduce the
+/// retired-count geomean.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "interp/Interpreter.h"
 #include "opt/Passes.h"
 
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace noelle;
-using nir::Context;
 using nir::ExecutionEngine;
 
 namespace {
 
-double nowUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct AblationConfig {
-  const char *Name; ///< JSON key
-  bool Pipeline;    ///< run the pipeline at all
+  const char *Name;
+  bool Pipeline; ///< run the pipeline at all
   bool Inline = true, GVN = true, LICM = true, Unroll = true, SLP = true;
 };
 
@@ -63,49 +56,74 @@ constexpr AblationConfig Configs[] = {
 };
 constexpr int NumConfigs = sizeof(Configs) / sizeof(Configs[0]);
 
-struct ConfigResult {
-  int64_t Ret = 0;
-  std::string Output;
-  uint64_t Instructions = 0;
-  double WarmUs = 0;
-  uint64_t VectorInsts = 0;
+struct EngineConfig {
+  const char *Name;
+  ExecutionEngine::DispatchMode Dispatch;
+  bool DecodeOpt;
+  bool Observed; ///< install an observer, forcing the observed tier
 };
 
-ConfigResult runConfig(const bench::Benchmark &B, const AblationConfig &C,
-                       unsigned Repeats) {
-  Context Ctx;
-  auto M = minic::compileMiniCOrDie(Ctx, B.Source);
-  ConfigResult R;
-  if (C.Pipeline) {
-    opt::PipelineOptions O;
-    O.EnableInline = C.Inline;
-    O.EnableGVN = C.GVN;
-    O.EnableLICM = C.LICM;
-    O.EnableUnroll = C.Unroll;
-    O.EnableSLP = C.SLP;
-    R.VectorInsts = opt::runPipeline(*M, O).VectorInstsEmitted;
-  }
-  for (unsigned I = 0; I <= Repeats; ++I) {
-    ExecutionEngine E(*M);
-    for (const auto &F : M->getFunctions())
-      if (!F->isDeclaration())
-        E.prepare(F.get());
-    double T0 = nowUs();
-    R.Ret = E.runMain();
-    double Dt = nowUs() - T0;
-    R.WarmUs = I == 0 ? Dt : std::min(R.WarmUs, Dt);
-    R.Output = E.getOutput();
-    R.Instructions = E.getInstructionsExecuted();
-  }
+constexpr EngineConfig Engines[] = {
+    {"threaded", ExecutionEngine::DispatchMode::Threaded, true, false},
+    {"threaded+noopt", ExecutionEngine::DispatchMode::Threaded, false, false},
+    {"switch", ExecutionEngine::DispatchMode::Switch, true, false},
+    {"switch+noopt", ExecutionEngine::DispatchMode::Switch, false, false},
+    {"observed", ExecutionEngine::DispatchMode::Auto, true, true},
+};
+
+struct BlockCounter : nir::ExecutionObserver {
+  uint64_t Blocks = 0;
+  void onBlockExecuted(const nir::BasicBlock *) override { ++Blocks; }
+};
+
+struct Outcome {
+  int64_t Ret = 0;
+  std::string Output;
+  uint64_t Retired = 0;
+  bool operator==(const Outcome &) const = default;
+};
+
+Outcome run(nir::Module &M, const ExecutionEngine::Options &O = {},
+            nir::ExecutionObserver *Obs = nullptr) {
+  ExecutionEngine E(M, O);
+  if (Obs)
+    E.setObserver(Obs);
+  Outcome R;
+  R.Ret = E.runMain();
+  R.Output = E.getOutput();
+  R.Retired = E.getInstructionsExecuted();
   return R;
+}
+
+/// Runs \p M under every engine configuration; false (with a message on
+/// stderr) if any disagrees with \p Want.
+bool enginesAgree(nir::Module &M, const Outcome &Want, const char *Kernel,
+                  const char *Pipeline) {
+  bool Ok = true;
+  for (const EngineConfig &C : Engines) {
+    ExecutionEngine::Options O;
+    O.Dispatch = C.Dispatch;
+    O.DecodeOpt = C.DecodeOpt;
+    BlockCounter Obs;
+    Outcome Got = run(M, O, C.Observed ? &Obs : nullptr);
+    if (Got == Want && (!C.Observed || Obs.Blocks > 0))
+      continue;
+    std::fprintf(stderr,
+                 "%s [%s]: engine '%s' diverged (ret %lld vs %lld, retired "
+                 "%llu vs %llu, observed blocks %llu)\n",
+                 Kernel, Pipeline, C.Name, static_cast<long long>(Got.Ret),
+                 static_cast<long long>(Want.Ret),
+                 static_cast<unsigned long long>(Got.Retired),
+                 static_cast<unsigned long long>(Want.Retired),
+                 static_cast<unsigned long long>(Obs.Blocks));
+    Ok = false;
+  }
+  return Ok;
 }
 
 } // namespace
 
-int main(int argc, char **argv) {
-  bool Smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const unsigned Repeats = Smoke ? 0 : 2;
-
+int main() {
   std::printf("Optimizer ablation: retired instructions per configuration "
               "(ratio = unoptimized / config, higher is better)\n\n");
   std::printf("%-14s", "kernel");
@@ -113,40 +131,51 @@ int main(int argc, char **argv) {
     std::printf(" %10s", C.Name);
   std::printf("\n");
 
-  const auto &Suite = bench::getBenchmarkSuite();
-  std::vector<std::array<ConfigResult, NumConfigs>> Results;
-  std::vector<std::string> Names;
-
-  for (const auto &B : Suite) {
-    std::array<ConfigResult, NumConfigs> KR;
-    for (int C = 0; C < NumConfigs; ++C)
-      KR[C] = runConfig(B, Configs[C], Repeats);
-
-    // Behavior must be invariant across every configuration.
-    for (int C = 1; C < NumConfigs; ++C)
-      if (KR[C].Ret != KR[0].Ret || KR[C].Output != KR[0].Output) {
+  bool Pass = true;
+  std::vector<std::array<uint64_t, NumConfigs>> Retired;
+  for (const auto &B : bench::getBenchmarkSuite()) {
+    std::array<uint64_t, NumConfigs> Row;
+    Outcome Base;
+    for (int C = 0; C < NumConfigs; ++C) {
+      nir::Context Ctx;
+      auto M = minic::compileMiniCOrDie(Ctx, B.Source);
+      if (Configs[C].Pipeline) {
+        opt::PipelineOptions O;
+        O.EnableInline = Configs[C].Inline;
+        O.EnableGVN = Configs[C].GVN;
+        O.EnableLICM = Configs[C].LICM;
+        O.EnableUnroll = Configs[C].Unroll;
+        O.EnableSLP = Configs[C].SLP;
+        opt::runPipeline(*M, O);
+      }
+      Outcome Got = run(*M);
+      Row[C] = Got.Retired;
+      if (C == 0)
+        Base = Got;
+      if (Got.Ret != Base.Ret || Got.Output != Base.Output) {
         std::fprintf(stderr, "%s: config '%s' changed program behavior\n",
                      B.Name.c_str(), Configs[C].Name);
-        return 1;
+        Pass = false;
       }
+      if (C < 2)
+        Pass &= enginesAgree(*M, Got, B.Name.c_str(), Configs[C].Name);
+    }
 
     std::printf("%-14s", B.Name.c_str());
-    for (int C = 0; C < NumConfigs; ++C)
-      std::printf(" %10llu",
-                  static_cast<unsigned long long>(KR[C].Instructions));
+    for (uint64_t N : Row)
+      std::printf(" %10llu", static_cast<unsigned long long>(N));
     std::printf("\n");
-    Results.push_back(std::move(KR));
-    Names.push_back(B.Name);
+    Retired.push_back(Row);
   }
 
   // Geomean retired-count ratio (baseline / config) per configuration.
   double Geo[NumConfigs] = {};
   for (int C = 0; C < NumConfigs; ++C) {
     double LogSum = 0;
-    for (const auto &KR : Results)
-      LogSum += std::log(static_cast<double>(KR[0].Instructions) /
-                         static_cast<double>(KR[C].Instructions));
-    Geo[C] = std::exp(LogSum / Results.size());
+    for (const auto &Row : Retired)
+      LogSum +=
+          std::log(static_cast<double>(Row[0]) / static_cast<double>(Row[C]));
+    Geo[C] = std::exp(LogSum / Retired.size());
   }
 
   std::printf("\n%-14s", "geomean ratio");
@@ -156,31 +185,11 @@ int main(int argc, char **argv) {
   for (int C = 2; C < NumConfigs; ++C)
     std::printf("%s costs %.1f%% retired-count reduction\n", Configs[C].Name,
                 (Geo[1] / Geo[C] - 1.0) * 100.0);
+  std::printf("\nengine configurations checked on the none and full "
+              "modules:");
+  for (const EngineConfig &C : Engines)
+    std::printf(" %s", C.Name);
+  std::printf("\n");
 
-  const bool Pass = Geo[1] > 1.0; // the full pipeline must actually help
-  const std::string JsonPath = benchutil::outputPath("BENCH_opt.json");
-  if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
-    std::fprintf(F, "{\n  \"smoke\": %s,\n  \"kernels\": [\n",
-                 Smoke ? "true" : "false");
-    for (size_t K = 0; K < Results.size(); ++K) {
-      std::fprintf(F, "    {\"name\": \"%s\"", Names[K].c_str());
-      for (int C = 0; C < NumConfigs; ++C)
-        std::fprintf(
-            F, ", \"%s\": {\"instructions\": %llu, \"warm_us\": %.1f}",
-            Configs[C].Name,
-            static_cast<unsigned long long>(Results[K][C].Instructions),
-            Results[K][C].WarmUs);
-      std::fprintf(F, ", \"vector_insts\": %llu}%s\n",
-                   static_cast<unsigned long long>(Results[K][1].VectorInsts),
-                   K + 1 == Results.size() ? "" : ",");
-    }
-    std::fprintf(F, "  ],\n  \"geomean_retired_ratio\": {");
-    for (int C = 0; C < NumConfigs; ++C)
-      std::fprintf(F, "%s\"%s\": %.3f", C ? ", " : "", Configs[C].Name,
-                   Geo[C]);
-    std::fprintf(F, "},\n  \"pass\": %s\n}\n", Pass ? "true" : "false");
-    std::fclose(F);
-    std::printf("wrote %s\n", JsonPath.c_str());
-  }
-  return Pass ? 0 : 1;
+  return Pass && Geo[1] > 1.0 ? 0 : 1;
 }

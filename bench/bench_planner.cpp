@@ -5,28 +5,36 @@
 /// the planner's one-shot strategy (technique + worker count per loop,
 /// chosen from the cost model) against the best hand-picked
 /// single-technique sweep (DOALL, HELIX, or DSWP forced everywhere at
-/// the default worker count — the figure-5 columns). Times use the
-/// instruction-level performance model (BenchUtils.h), the same
-/// currency the cost model estimates in.
+/// the default worker count — the figure-5 columns), with and without
+/// speculation. The speculative planner profiles memory dependences on
+/// the kernel's own input first, as `noelle-parallelize --speculate`
+/// does. Times use the instruction-level performance model
+/// (BenchUtils.h), the same currency the cost model estimates in;
+/// speculative commits and misspeculations come from the telemetry
+/// registry.
 ///
-/// Writes BENCH_planner.json. With --smoke, asserts the planner's plan
-/// is within 10% of the best hand-picked time on at least 18 of the
-/// kernels, that every emitted plan passes the plan audit
-/// (verify::checkPlan), and that every transformed binary still
-/// computes the sequential result.
+/// The output is deterministic (tests/golden/bench_planner.txt). Exits 1
+/// unless every transformed binary computes the sequential result, every
+/// plan passes the plan audit (verify::checkPlan), the static plan is
+/// within 10% of the best hand pick on all but two kernels, no kernel
+/// misspeculates on its profiled input, and at least one speculated
+/// kernel reaches within 10% of the best hand pick.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
+#include "ir/IDs.h"
+#include "noelle/MemDepProfiler.h"
 #include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
+#include "telemetry/Telemetry.h"
 #include "verify/PlanCheck.h"
 #include "xforms/ParallelizationTechnique.h"
 
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,83 +47,97 @@ constexpr unsigned Cores = 4;
 struct RunResult {
   uint64_t Time = 0;
   bool ResultMatches = true;
-  unsigned Parallelized = 0;
+  bool PlanClean = true;
+  size_t SpecEntries = 0;
+  uint64_t Commits = 0;
+  uint64_t Misspecs = 0;
 };
 
-/// Sequential reference: result + instruction count.
-std::pair<int64_t, uint64_t> runBaseline(const bench::Benchmark &B) {
+int64_t runBaseline(const bench::Benchmark &B) {
   nir::Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B.Source);
   nir::ExecutionEngine E(*M);
-  int64_t R = E.runMain();
-  return {R, E.getInstructionsExecuted()};
+  return E.runMain();
 }
 
-/// Forced single-technique sweep at the default worker count — the
-/// hand-picked column.
+/// Runs the transformed \p M, recording the modeled time, whether it
+/// computed \p Expected, and the speculation counters of the run.
+void runTransformed(nir::Module &M, int64_t Expected, RunResult &Out) {
+  telemetry::setMode(telemetry::Mode::Metrics);
+  telemetry::resetMetrics();
+  nir::ExecutionEngine E(M);
+  registerParallelRuntime(E);
+  Out.ResultMatches = E.runMain() == Expected;
+  Out.Time = benchutil::simulatedTime(E);
+  auto Snap = telemetry::snapshotMetrics();
+  Out.Commits = Snap.counter(telemetry::Counter::SpecCommits);
+  Out.Misspecs = Snap.counter(telemetry::Counter::SpecMisspeculations);
+  telemetry::setMode(telemetry::Mode::Off);
+}
+
+/// Forced single-technique sweep — one hand-picked column.
 RunResult runForced(const bench::Benchmark &B, TechniqueKind K,
                     int64_t Expected) {
   nir::Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B.Source);
   Noelle N(*M);
-  auto T = createTechnique(K, N, Cores);
+  createTechnique(K, N, Cores)->run();
   RunResult Out;
-  for (const auto &D : T->run())
-    Out.Parallelized += D.Parallelized;
-  nir::ExecutionEngine E(*M);
-  registerParallelRuntime(E);
-  Out.ResultMatches = E.runMain() == Expected;
-  Out.Time = benchutil::simulatedTime(E);
+  runTransformed(*M, Expected, Out);
   return Out;
 }
 
 /// The planner path: plan, audit, apply, run.
 RunResult runPlanner(const bench::Benchmark &B, int64_t Expected,
-                     bool &PlanClean, size_t &PlanEntries) {
+                     bool Speculate) {
   nir::Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B.Source);
+  if (Speculate) {
+    nir::assignDeterministicIDs(*M);
+    profileMemDeps(*M).embed(*M);
+  }
   Noelle N(*M);
   planner::PlannerOptions PO;
   PO.MaxWorkers = Cores;
+  PO.EnableSpeculation = Speculate;
   planner::Planner P(N, PO);
   planner::ProgramPlan Plan = P.plan();
-  PlanEntries = Plan.Entries.size();
-  PlanClean = verify::checkPlan(*M, Plan).clean();
+
   RunResult Out;
-  for (const auto &D : P.apply(Plan))
-    Out.Parallelized += D.Parallelized;
-  nir::ExecutionEngine E(*M);
-  registerParallelRuntime(E);
-  Out.ResultMatches = E.runMain() == Expected;
-  Out.Time = benchutil::simulatedTime(E);
+  for (const auto &En : Plan.Entries)
+    Out.SpecEntries += En.Kind == TechniqueKind::SpecDOALL;
+  Out.PlanClean = verify::checkPlan(*M, Plan).clean();
+  P.apply(Plan);
+  runTransformed(*M, Expected, Out);
   return Out;
+}
+
+double ratio(uint64_t Num, uint64_t Den) {
+  return Den > 0 ? static_cast<double>(Num) / static_cast<double>(Den) : 1.0;
 }
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  bool Smoke = false;
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], "--smoke") == 0)
-      Smoke = true;
-
-  std::printf("Planner vs best hand-picked technique "
-              "(%u cores, instruction-level model)\n\n",
+int main() {
+  std::printf("Planner vs best hand-picked technique, static and "
+              "speculative (%u cores, instruction-level model)\n\n",
               Cores);
-  std::vector<int> W = {16, 12, 12, 10, 10, 8};
-  benchutil::printRow({"benchmark", "planner", "best-hand", "hand-tech",
-                       "ratio", "audit"},
+  std::vector<int> W = {14, 10, 6, 10, 7, 10, 4, 7, 7, 6};
+  benchutil::printRow({"benchmark", "best-hand", "tech", "static", "ratio",
+                       "spec", "spec", "commits", "misspec", "audits"},
+                      W);
+  benchutil::printRow({"", "", "", "plan", "", "plan", "ents", "", "", ""},
                       W);
   benchutil::printSeparator(W);
 
-  unsigned Kernels = 0, Within10 = 0, AuditClean = 0;
+  unsigned Kernels = 0, Within10 = 0, StaticClean = 0, SpecClean = 0;
+  unsigned SpeculatedKernels = 0, SpecWithin10 = 0;
+  uint64_t TotalMisspecs = 0;
   bool AnyWrong = false;
-  std::string JSON = "{\n  \"kernels\": [\n";
-  bool FirstRow = true;
+  double LogSpecOverStatic = 0.0;
 
   for (const auto &B : bench::getBenchmarkSuite()) {
-    auto [Expected, BaselineInstrs] = runBaseline(B);
-    (void)BaselineInstrs;
+    int64_t Expected = runBaseline(B);
 
     RunResult BestHand;
     const char *BestName = "none";
@@ -131,78 +153,52 @@ int main(int Argc, char **Argv) {
       }
     }
 
-    bool PlanClean = false;
-    size_t PlanEntries = 0;
-    RunResult Plan = runPlanner(B, Expected, PlanClean, PlanEntries);
-    AnyWrong |= !Plan.ResultMatches;
+    RunResult Static = runPlanner(B, Expected, /*Speculate=*/false);
+    RunResult Spec = runPlanner(B, Expected, /*Speculate=*/true);
+    AnyWrong |= !Static.ResultMatches || !Spec.ResultMatches;
 
-    double Ratio = BestHand.Time > 0
-                       ? static_cast<double>(Plan.Time) /
-                             static_cast<double>(BestHand.Time)
-                       : 1.0;
-    bool Ok = Ratio <= 1.10;
+    double StaticRatio = ratio(Static.Time, BestHand.Time);
+    bool Ok = StaticRatio <= 1.10;
     ++Kernels;
     Within10 += Ok;
-    AuditClean += PlanClean;
+    StaticClean += Static.PlanClean;
+    SpecClean += Spec.PlanClean;
+    TotalMisspecs += Spec.Misspecs;
+    LogSpecOverStatic += std::log(ratio(Spec.Time, Static.Time));
+    if (Spec.SpecEntries > 0) {
+      ++SpeculatedKernels;
+      SpecWithin10 +=
+          ratio(Spec.Time, BestHand.Time) <= 1.10 && Spec.Misspecs == 0;
+    }
 
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.3f%s", Ratio, Ok ? "" : " SLOW");
-    benchutil::printRow({B.Name, std::to_string(Plan.Time),
-                         std::to_string(BestHand.Time), BestName, Buf,
-                         PlanClean ? "clean" : "DIRTY"},
-                        W);
-
-    char Row[512];
-    std::snprintf(Row, sizeof(Row),
-                  "%s    {\"kernel\": \"%s\", \"planner_time\": %llu, "
-                  "\"best_hand_time\": %llu, \"best_hand_technique\": "
-                  "\"%s\", \"ratio\": %.4f, \"plan_entries\": %zu, "
-                  "\"plan_audit_clean\": %s, \"within_10pct\": %s}",
-                  FirstRow ? "" : ",\n", B.Name.c_str(),
-                  (unsigned long long)Plan.Time,
-                  (unsigned long long)BestHand.Time, BestName, Ratio,
-                  PlanEntries, PlanClean ? "true" : "false",
-                  Ok ? "true" : "false");
-    JSON += Row;
-    FirstRow = false;
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.3f%s", StaticRatio, Ok ? "" : " SLOW");
+    std::string Audits = std::string(Static.PlanClean ? "ok" : "BAD") + "/" +
+                         (Spec.PlanClean ? "ok" : "BAD");
+    benchutil::printRow(
+        {B.Name, std::to_string(BestHand.Time), BestName,
+         std::to_string(Static.Time), Buf, std::to_string(Spec.Time),
+         std::to_string(Spec.SpecEntries), std::to_string(Spec.Commits),
+         std::to_string(Spec.Misspecs), Audits},
+        W);
   }
 
   benchutil::printSeparator(W);
   std::printf("\n%u/%u kernels within 10%% of the best hand-picked "
-              "technique; %u/%u plans audit clean\n",
-              Within10, Kernels, AuditClean, Kernels);
+              "technique; %u/%u static and %u/%u speculative plans audit "
+              "clean\n",
+              Within10, Kernels, StaticClean, Kernels, SpecClean, Kernels);
+  std::printf("%u/%u kernels speculated; %u reached within 10%% of the "
+              "best hand pick with zero misspeculations; spec/static-planner "
+              "time geomean %.4f; %llu total misspeculation(s)\n",
+              SpeculatedKernels, Kernels, SpecWithin10,
+              std::exp(LogSpecOverStatic / Kernels),
+              static_cast<unsigned long long>(TotalMisspecs));
 
-  char Tail[160];
-  std::snprintf(Tail, sizeof(Tail),
-                "\n  ],\n  \"within_10pct\": %u,\n  \"kernel_count\": %u,\n"
-                "  \"plans_audit_clean\": %u\n}\n",
-                Within10, Kernels, AuditClean);
-  JSON += Tail;
-  const std::string JsonPath = benchutil::outputPath("BENCH_planner.json");
-  if (FILE *F = std::fopen(JsonPath.c_str(), "w")) {
-    std::fputs(JSON.c_str(), F);
-    std::fclose(F);
-    std::printf("wrote %s\n", JsonPath.c_str());
-  }
-
-  if (Smoke) {
-    if (AnyWrong) {
-      std::printf("SMOKE FAIL: a transformed binary computed a wrong "
-                  "result\n");
-      return 1;
-    }
-    if (AuditClean != Kernels) {
-      std::printf("SMOKE FAIL: %u plan(s) failed the audit\n",
-                  Kernels - AuditClean);
-      return 1;
-    }
-    if (Within10 + 2 < Kernels) {
-      std::printf("SMOKE FAIL: planner within 10%% on only %u/%u "
-                  "kernels (need all but 2)\n",
-                  Within10, Kernels);
-      return 1;
-    }
-    std::printf("SMOKE PASS\n");
-  }
-  return 0;
+  const bool Pass = !AnyWrong && StaticClean == Kernels &&
+                    SpecClean == Kernels && Within10 + 2 >= Kernels &&
+                    TotalMisspecs == 0 && SpecWithin10 > 0;
+  if (AnyWrong)
+    std::fprintf(stderr, "a transformed binary computed a wrong result\n");
+  return Pass ? 0 : 1;
 }

@@ -244,8 +244,6 @@ bool HappensBeforeEngine::mayFollow(const Instruction *Earlier,
 bool HappensBeforeEngine::completedBefore(const Instruction *Ev,
                                           const Instruction *At,
                                           TaskState &TS) {
-  if (!Opts.FlowSensitive)
-    return TS.domTree().dominates(Ev, At);
   TS.buildCompleted();
   auto It = TS.EventIdx.find(Ev);
   if (!TS.Completed || It == TS.EventIdx.end())
@@ -303,7 +301,7 @@ HBRule HappensBeforeEngine::queueOrdered(const Instruction *Pre,
         if (Covered.count(Entry.first) || Entry.second.Pushes.empty())
           continue;
         if (!Join && Entry.second.producerTasks() > 1)
-          continue; // legacy slice: single-producer queues only
+          continue; // one-hop slice: single-producer queues only
         bool All = true;
         for (const auto &P : Entry.second.Pushes)
           if (!Before.count(P.second)) {
@@ -437,12 +435,11 @@ HBRule HappensBeforeEngine::segmentOrdered(const Instruction *A,
     return HBRule::None;
   BitVector HA = ItA->second;
   BitVector HB = ItB->second;
-  if (Opts.FlowSensitive)
-    for (unsigned S = 0; S < TS.Leaked.size(); ++S)
-      if (TS.Leaked.test(S) && S < HA.size()) {
-        HA.reset(S);
-        HB.reset(S);
-      }
+  for (unsigned S = 0; S < TS.Leaked.size(); ++S)
+    if (TS.Leaked.test(S) && S < HA.size()) {
+      HA.reset(S);
+      HB.reset(S);
+    }
   if (Opts.UseSegmentOrder) {
     BitVector Common = HA;
     Common.intersectWith(HB);

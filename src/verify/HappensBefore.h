@@ -71,10 +71,8 @@ const char *hbRuleName(HBRule R);
 struct RaceRuleStats;
 
 /// Tuning knobs for detectRaces and the happens-before engine it drives.
-/// Defaults enable the full flow-sensitive engine; tests and the
-/// `--race-rules` CLI flag disable individual rules to pin which one
-/// discharged a pair, and legacy() reproduces the single-rule detector
-/// this engine replaced.
+/// Defaults enable every rule; tests and the `--race-rules` CLI flag
+/// disable individual rules to pin which one discharged a pair.
 struct RaceDetectorOptions {
   /// Queue release/acquire ordering (push completion ⟶ pop return).
   bool UseQueueHB = true;
@@ -86,26 +84,8 @@ struct RaceDetectorOptions {
   bool UseSegmentOrder = true;
   /// Cross-segment partial orders for intra-iteration-only conflicts.
   bool UseCrossSegment = true;
-  /// Flow-sensitive mode: ordering facts come from the all-paths
-  /// completed-event dataflow, segment protection is gated by the
-  /// segment-protocol leak check, and ordering rules run before pointer
-  /// classification. When false the detector reproduces the structural
-  /// single-rule pipeline (dominating pop, late segment check).
-  bool FlowSensitive = true;
   /// When set, per-rule counters are accumulated here.
   RaceRuleStats *Stats = nullptr;
-
-  /// The pre-engine detector: single-queue/single-producer happens-
-  /// before with a dominating pop, flow-insensitive segment protection.
-  /// The bench harness compares the engine's precision against this.
-  static RaceDetectorOptions legacy() {
-    RaceDetectorOptions O;
-    O.UseMultiQueueJoin = false;
-    O.UseLoopPhase = false;
-    O.UseCrossSegment = false;
-    O.FlowSensitive = false;
-    return O;
-  }
 };
 
 /// Per-region happens-before engine. Owns per-task dominator trees, loop
@@ -132,7 +112,8 @@ public:
   /// \p T: SegmentOrder when a common segment is guaranteed held at both
   /// anchors, CrossSegment when each anchor holds some (distinct)
   /// segment and the snapshot PDG shows the pair's conflicts are
-  /// intra-iteration only. Leak-gated in flow-sensitive mode.
+  /// intra-iteration only. A segment whose protocol leaks protects
+  /// nothing.
   HBRule segmentOrdered(const nir::Instruction *A, const nir::Instruction *B,
                         const TaskInfo &T);
 
@@ -150,7 +131,7 @@ private:
                  const nir::Instruction *Later, TaskState &TS);
 
   /// True if sync event \p Ev has completed on every path from task
-  /// entry to \p At (flow-sensitive mode), or dominates \p At (legacy).
+  /// entry to \p At.
   bool completedBefore(const nir::Instruction *Ev, const nir::Instruction *At,
                        TaskState &TS);
 

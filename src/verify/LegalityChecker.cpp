@@ -83,43 +83,51 @@ private:
 
   /// DOALL/HELIX: every IV's clone must start at start + f(taskID) and
   /// step by the original amount scaled by the worker count; otherwise
-  /// workers execute overlapping iterations.
+  /// workers execute overlapping iterations. The stride is read from
+  /// what the back edge feeds the cloned phi, and that value may feed
+  /// only the phi and the exit compare: any other user would see the
+  /// scaled stride where the source computes `i + step`.
   void checkIVRebase(const TaskInfo &T) {
+    const Instruction *ExitCmp = nullptr;
+    if (const InductionVariable *GIV = IVs.getGoverningIV())
+      if (auto CmpId = nir::instIDOf(GIV->getGoverningCmp()))
+        if (auto It = T.Clones.find(*CmpId); It != T.Clones.end())
+          ExitCmp = It->second.front();
     for (const auto &IV : IVs.getInductionVariables()) {
       auto PhiId = nir::instIDOf(IV->getPhi());
-      auto StepId = nir::instIDOf(IV->getStepInstruction());
-      if (!PhiId || !StepId)
+      if (!PhiId)
         continue; // Snapshot lacks IDs; reported as MissingMetadata.
 
       auto PhiIt = T.Clones.find(*PhiId);
-      auto StepIt = T.Clones.find(*StepId);
-      if (PhiIt == T.Clones.end() || StepIt == T.Clones.end()) {
+      if (PhiIt == T.Clones.end()) {
         report(DiagKind::IVNotRebased,
                "induction variable has no clone in the task",
                IV->getPhi(), nullptr, T.Fn->getName());
         continue;
       }
       const auto *ClonedPhi = nir::dyn_cast<PhiInst>(PhiIt->second.front());
-      const auto *ClonedUpd =
-          nir::dyn_cast<BinaryInst>(StepIt->second.front());
-      if (!ClonedPhi || !ClonedUpd) {
+      const nir::BasicBlock *Entry = &T.Fn->getEntryBlock();
+      const BinaryInst *Next = nullptr;
+      if (ClonedPhi)
+        for (unsigned K = 0; K < ClonedPhi->getNumIncoming(); ++K)
+          if (ClonedPhi->getIncomingBlock(K) != Entry)
+            Next = nir::dyn_cast<BinaryInst>(ClonedPhi->getIncomingValue(K));
+      if (!Next) {
         report(DiagKind::IVNotRebased,
                "induction variable clone lost its phi/update shape",
                IV->getPhi(), nullptr, T.Fn->getName());
         continue;
       }
 
-      Value *EntryIn = ClonedPhi->getIncomingValueForBlock(
-          &T.Fn->getEntryBlock());
+      Value *EntryIn = ClonedPhi->getIncomingValueForBlock(Entry);
       if (!EntryIn || !sliceContains(EntryIn, T.TaskIDArg)) {
         report(DiagKind::IVNotRebased,
                "induction variable start is not offset by the task ID",
                IV->getPhi(), IV->getStepInstruction(), T.Fn->getName());
         continue;
       }
-      auto OrigAmt =
-          updateAmount(nir::cast<BinaryInst>(IV->getStepInstruction()));
-      auto NewAmt = updateAmount(ClonedUpd);
+      auto OrigAmt = updateAmount(IV->getStepInstruction());
+      auto NewAmt = updateAmount(Next);
       if (OrigAmt && NewAmt &&
           *NewAmt != *OrigAmt * static_cast<int64_t>(T.Workers)) {
         report(DiagKind::IVNotRebased,
@@ -128,7 +136,16 @@ private:
                    std::to_string(*OrigAmt * (int64_t)T.Workers) + ", got " +
                    std::to_string(*NewAmt) + ")",
                IV->getPhi(), IV->getStepInstruction(), T.Fn->getName());
+        continue;
       }
+      for (const nir::User *U : Next->users())
+        if (U != ClonedPhi && U != ExitCmp) {
+          report(DiagKind::IVNotRebased,
+                 "re-based induction variable update has another user, "
+                 "which reads the worker-scaled stride",
+                 Next, nir::dyn_cast<Instruction>(U), T.Fn->getName());
+          break;
+        }
     }
   }
 

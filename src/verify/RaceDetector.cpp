@@ -146,7 +146,7 @@ private:
         return;
       }
     }
-    if (Opts.FlowSensitive && R.selfConcurrent() && A.Task == B.Task) {
+    if (R.selfConcurrent() && A.Task == B.Task) {
       HBRule Rl = HB.segmentOrdered(A.Anchor, B.Anchor, *A.Task);
       if (Rl != HBRule::None) {
         discharge(hbRuleName(Rl));
@@ -197,8 +197,6 @@ private:
         discharge("env-disjoint");
         return;
       }
-      if (!Opts.FlowSensitive && lateSegment(A, B))
-        return;
       reportRace(A, B, "both workers touch the same environment slot");
       return;
     }
@@ -213,7 +211,7 @@ private:
     // different element in every worker — each worker's chunk of the
     // re-based iteration space is exclusive, with chunk handoff fenced
     // by the dispatch counter.
-    if (Opts.FlowSensitive && iterPartitioned(A, B)) {
+    if (iterPartitioned(A, B)) {
       discharge("iter-partition");
       return;
     }
@@ -223,31 +221,12 @@ private:
       discharge("alias-none");
       return;
     }
-    if (!Opts.FlowSensitive) {
-      if (iterPartitioned(A, B)) {
-        discharge("iter-partition");
-        return;
-      }
-      if (lateSegment(A, B))
-        return;
-    }
     reportRace(A, B, "accesses may alias and nothing orders them");
   }
 
   bool iterPartitioned(const Access &A, const Access &B) {
     return R.selfConcurrent() && sliceContains(A.Ptr, A.Task->TaskIDArg) &&
            sliceContains(B.Ptr, B.Task->TaskIDArg);
-  }
-
-  /// Legacy placement of the segment check (after pointer reasoning).
-  bool lateSegment(const Access &A, const Access &B) {
-    if (A.Task != B.Task)
-      return false;
-    HBRule Rl = HB.segmentOrdered(A.Anchor, B.Anchor, *A.Task);
-    if (Rl == HBRule::None)
-      return false;
-    discharge(hbRuleName(Rl));
-    return true;
   }
 
   bool isTaskLocal(const PtrClass &C, const TaskInfo &T) const {

@@ -10,7 +10,6 @@
 
 using namespace noelle;
 using nir::BasicBlock;
-using nir::BinaryInst;
 using nir::CmpInst;
 using nir::Function;
 using nir::IRBuilder;
@@ -209,67 +208,8 @@ bool DOALL::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
   Task.TaskFn->setMetadata(verify::TaskKindKey, taskKind());
   Task.TaskFn->setMetadata(verify::TaskWorkersKey, std::to_string(Workers));
 
-  // Re-base every IV for cyclic distribution: start' = start +
-  // taskID*step (iteration offset), step' = step*numTasks*chunk.
-  // (ChunkSize > 1 uses a blocked-cyclic mapping: each grab advances by
-  // chunk iterations; handled by scaling both offset and stride.)
-  IRBuilder TB(Ctx);
+  rebaseInductionVariables(IVs, Task, Workers);
   auto *TaskEntry = &Task.TaskFn->getEntryBlock();
-  TB.setInsertPoint(TaskEntry->getTerminator());
-  for (const auto &IV : IVs.getInductionVariables()) {
-    auto *ClonedPhi = nir::cast<PhiInst>(Task.ValueMap[IV->getPhi()]);
-    auto *ClonedUpd =
-        nir::cast<BinaryInst>(Task.ValueMap[IV->getStepInstruction()]);
-    int64_t Step = IV->getConstantStep();
-
-    // start' = start + taskID * step.
-    Value *StartMapped = ClonedPhi->getIncomingValueForBlock(TaskEntry);
-    Value *Offset =
-        TB.createMul(Task.TaskIDArg, TB.getInt64(Step), "iv.offset");
-    Value *NewStart = TB.createAdd(StartMapped, Offset, "iv.start");
-    int Idx = ClonedPhi->getBlockIndex(TaskEntry);
-    assert(Idx >= 0);
-    ClonedPhi->setIncomingValue(static_cast<unsigned>(Idx), NewStart);
-
-    // step' = step * numTasks * chunk: rewrite the update instruction's
-    // amount. The update is add/sub(phi, amount) (normalized by the IV
-    // manager).
-    int64_t RawAmount =
-        ClonedUpd->getOp() == BinaryInst::Op::Sub ? -Step : Step;
-    Value *NewAmount =
-        Ctx.getInt64(RawAmount * static_cast<int64_t>(Workers));
-    if (ClonedUpd->getLHS() == ClonedPhi)
-      ClonedUpd->setOperand(1, NewAmount);
-    else
-      ClonedUpd->setOperand(0, NewAmount);
-  }
-
-  // With a stride > |step| the EQ/NE exit tests can overshoot; replace
-  // them with ordered comparisons.
-  {
-    InductionVariable *GIV = IVs.getGoverningIV();
-    auto *ClonedCmp =
-        nir::cast<CmpInst>(Task.ValueMap[GIV->getGoverningCmp()]);
-    bool StepPositive = GIV->getConstantStep() > 0;
-    // Which side holds the IV expression?
-    bool IVOnLHS = GIV->getGoverningCmp()->getLHS() == GIV->getPhi() ||
-                   GIV->getGoverningCmp()->getLHS() ==
-                       GIV->getStepInstruction();
-    if (ClonedCmp->getPred() == CmpInst::Pred::NE ||
-        ClonedCmp->getPred() == CmpInst::Pred::EQ) {
-      // "iv != bound" continues while iv < bound (positive step).
-      CmpInst::Pred Continue =
-          StepPositive ? CmpInst::Pred::SLT : CmpInst::Pred::SGT;
-      if (!IVOnLHS)
-        Continue = CmpInst::getSwappedPred(Continue);
-      if (ClonedCmp->getPred() == CmpInst::Pred::NE) {
-        ClonedCmp->setPred(Continue);
-      } else {
-        // "iv == bound" exits the loop; its negation continues.
-        ClonedCmp->setPred(CmpInst::getInversePred(Continue));
-      }
-    }
-  }
 
   // Privatize reductions: identity start, store the partial into this
   // task's live-out lane at exit.

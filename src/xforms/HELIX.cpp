@@ -12,7 +12,6 @@
 
 using namespace noelle;
 using nir::BasicBlock;
-using nir::BinaryInst;
 using nir::CmpInst;
 using nir::DominatorTree;
 using nir::Function;
@@ -362,42 +361,7 @@ bool HELIX::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
   Value *Gates =
       emitEnvLoad(TB, Task.EnvArg, GatesSlot, Ctx.getPtrTy(), "gates");
 
-  // Re-base IVs exactly like DOALL (cyclic distribution).
-  for (const auto &IV : IVs.getInductionVariables()) {
-    auto *ClonedPhi = nir::cast<PhiInst>(Task.ValueMap[IV->getPhi()]);
-    auto *ClonedUpd =
-        nir::cast<BinaryInst>(Task.ValueMap[IV->getStepInstruction()]);
-    int64_t Step = IV->getConstantStep();
-    Value *StartMapped = ClonedPhi->getIncomingValueForBlock(TaskEntry);
-    Value *Offset =
-        TB.createMul(Task.TaskIDArg, TB.getInt64(Step), "iv.offset");
-    Value *NewStart = TB.createAdd(StartMapped, Offset, "iv.start");
-    int Idx = ClonedPhi->getBlockIndex(TaskEntry);
-    ClonedPhi->setIncomingValue(static_cast<unsigned>(Idx), NewStart);
-    int64_t RawAmount =
-        ClonedUpd->getOp() == BinaryInst::Op::Sub ? -Step : Step;
-    ClonedUpd->replaceUsesOfWith(
-        ClonedUpd->getLHS() == ClonedPhi ? ClonedUpd->getRHS()
-                                         : ClonedUpd->getLHS(),
-        Ctx.getInt64(RawAmount * static_cast<int64_t>(Workers)));
-  }
-  // NE exit tests would overshoot with the larger stride.
-  {
-    InductionVariable *GIV = IVs.getGoverningIV();
-    auto *ClonedCmp =
-        nir::cast<CmpInst>(Task.ValueMap[GIV->getGoverningCmp()]);
-    if (ClonedCmp->getPred() == CmpInst::Pred::NE) {
-      bool StepPositive = GIV->getConstantStep() > 0;
-      CmpInst::Pred Continue =
-          StepPositive ? CmpInst::Pred::SLT : CmpInst::Pred::SGT;
-      bool IVOnLHS = GIV->getGoverningCmp()->getLHS() == GIV->getPhi() ||
-                     GIV->getGoverningCmp()->getLHS() ==
-                         GIV->getStepInstruction();
-      if (!IVOnLHS)
-        Continue = CmpInst::getSwappedPred(Continue);
-      ClonedCmp->setPred(Continue);
-    }
-  }
+  rebaseInductionVariables(IVs, Task, Workers);
 
   // Global iteration counter: g = phi [taskID, entry], [g + N, latch].
   auto *ClonedHeader = nir::cast<BasicBlock>(Task.ValueMap[LS.getHeader()]);

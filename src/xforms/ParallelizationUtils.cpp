@@ -8,7 +8,9 @@
 using namespace noelle;
 using nir::Argument;
 using nir::BasicBlock;
+using nir::BinaryInst;
 using nir::BranchInst;
+using nir::CmpInst;
 using nir::Function;
 using nir::IRBuilder;
 using nir::Module;
@@ -43,6 +45,67 @@ Value *noelle::emitEnvLoad(IRBuilder &B, Value *Env, unsigned Slot,
   // Function-typed live-ins travel as plain pointers.
   Type *LoadTy = Ty->isFunction() ? B.getContext().getPtrTy() : Ty;
   return B.createLoad(LoadTy, Addr, Name);
+}
+
+void noelle::rebaseInductionVariables(InductionVariableManager &IVs,
+                                      ClonedLoopTask &Task,
+                                      unsigned Workers) {
+  nir::Context &Ctx = Task.TaskFn->getParent()->getContext();
+  BasicBlock *TaskEntry = &Task.TaskFn->getEntryBlock();
+  IRBuilder EntryB(Ctx);
+  EntryB.setInsertPoint(TaskEntry->getTerminator());
+  InductionVariable *GIV = IVs.getGoverningIV();
+  auto *ClonedCmp =
+      nir::cast<CmpInst>(Task.ValueMap[GIV->getGoverningCmp()]);
+  for (const auto &IV : IVs.getInductionVariables()) {
+    auto *ClonedPhi = nir::cast<PhiInst>(Task.ValueMap[IV->getPhi()]);
+    auto *ClonedUpd =
+        nir::cast<BinaryInst>(Task.ValueMap[IV->getStepInstruction()]);
+    int64_t Step = IV->getConstantStep();
+
+    Value *Offset =
+        EntryB.createMul(Task.TaskIDArg, EntryB.getInt64(Step), "iv.offset");
+    Value *NewStart = EntryB.createAdd(
+        ClonedPhi->getIncomingValueForBlock(TaskEntry), Offset, "iv.start");
+    int Idx = ClonedPhi->getBlockIndex(TaskEntry);
+    assert(Idx >= 0);
+    ClonedPhi->setIncomingValue(static_cast<unsigned>(Idx), NewStart);
+
+    // The update is add/sub(phi, amount) (normalized by the IV manager).
+    int64_t RawAmount =
+        ClonedUpd->getOp() == BinaryInst::Op::Sub ? -Step : Step;
+    Value *NewAmount =
+        Ctx.getInt64(RawAmount * static_cast<int64_t>(Workers));
+    bool Shared = false;
+    for (nir::User *U : ClonedUpd->users())
+      Shared |= U != ClonedPhi && U != ClonedCmp;
+    if (!Shared) {
+      ClonedUpd->setOperand(ClonedUpd->getLHS() == ClonedPhi ? 1 : 0,
+                            NewAmount);
+      continue;
+    }
+    IRBuilder UpdB(Ctx);
+    UpdB.setInsertPoint(ClonedUpd);
+    Value *Next =
+        UpdB.createBinary(ClonedUpd->getOp(), ClonedPhi, NewAmount, "iv.next");
+    ClonedPhi->replaceUsesOfWith(ClonedUpd, Next);
+    ClonedCmp->replaceUsesOfWith(ClonedUpd, Next);
+  }
+
+  if (ClonedCmp->getPred() != CmpInst::Pred::NE &&
+      ClonedCmp->getPred() != CmpInst::Pred::EQ)
+    return;
+  // "iv != bound" continues while iv < bound (positive step).
+  CmpInst::Pred Continue = GIV->getConstantStep() > 0 ? CmpInst::Pred::SLT
+                                                      : CmpInst::Pred::SGT;
+  const CmpInst *Cmp = GIV->getGoverningCmp();
+  if (Cmp->getLHS() != GIV->getPhi() &&
+      Cmp->getLHS() != GIV->getStepInstruction())
+    Continue = CmpInst::getSwappedPred(Continue);
+  // "iv == bound" exits the loop; its negation continues.
+  ClonedCmp->setPred(ClonedCmp->getPred() == CmpInst::Pred::NE
+                         ? Continue
+                         : CmpInst::getInversePred(Continue));
 }
 
 ClonedLoopTask noelle::cloneLoopIntoTask(nir::LoopStructure &LS,

@@ -70,6 +70,18 @@ ClonedLoopTask cloneLoopIntoTask(nir::LoopStructure &LS,
                                  const EnvLayout &Layout,
                                  const std::string &Name);
 
+/// Re-bases every induction variable of the cloned loop in \p Task for
+/// cyclic distribution over \p Workers tasks (DOALL and HELIX): start' =
+/// start + taskID * step, computed at the end of the task's entry block,
+/// and stride' = step * Workers. A cloned update whose only users are its
+/// phi and the governing exit compare is rewritten in place. One that
+/// other code also reads (GVN merges `i + 1` with a neighbour access
+/// `a[i + 1]`) is left alone: the back edge and the exit compare get
+/// their own `phi + step * Workers`. An EQ/NE governing exit test becomes
+/// an ordered compare, since the wider stride could step over the bound.
+void rebaseInductionVariables(InductionVariableManager &IVs,
+                              ClonedLoopTask &Task, unsigned Workers);
+
 /// Emits caller-side code that replaces loop \p LS with:
 ///   env = alloca [slots x i64]; store live-ins;
 ///   call noelle_dispatch(@task, env, NumTasks);

@@ -9,6 +9,8 @@
 
 #include "frontend/MiniC.h"
 #include "ir/Verifier.h"
+#include "opt/Passes.h"
+#include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
 #include "verify/NoelleCheck.h"
 #include "xforms/DOALL.h"
@@ -308,6 +310,53 @@ TEST(DOALLTest, PerformanceModelShowsSpeedup) {
   EXPECT_GT(Speedup, 2.5) << "4-core DOALL on a balanced loop should "
                              "approach 4x; got "
                           << Speedup;
+}
+
+/// After opt::runPipeline, GVN folds the `i + 1` of `a[i + 1]` into the
+/// IV update itself, so the cloned update has a user besides its phi and
+/// exit compare. The trip count comes from memory, so the unroller
+/// leaves the loop alone.
+const char *SharedIVUpdateSrc = R"(
+  int a[48];
+  int b[48];
+  int main() {
+    for (int i = 0; i < 48; i = i + 1) a[i] = (i * i) % 23;
+    int n = a[7] + 31;
+    for (int i = 0; i < n; i = i + 1) b[i] = a[i + 1] - a[i];
+    int s = 0;
+    for (int i = 0; i < 48; i = i + 1) s = s * 3 % 1000003 + b[i];
+    return s;
+  }
+)";
+
+// DOALL and HELIX share rebaseInductionVariables: re-basing must give
+// the back edge its own stride rather than scale the shared update in
+// place, or every task reads a[i + Workers] where the source reads
+// a[i + 1].
+TEST(DOALLTest, RebaseLeavesSharedIVUpdateAlone) {
+  int64_t Expected;
+  {
+    Context Ctx;
+    auto M = minic::compileMiniCOrDie(Ctx, SharedIVUpdateSrc);
+    ExecutionEngine E(*M);
+    Expected = E.runMain();
+  }
+  for (TechniqueKind K : {TechniqueKind::DOALL, TechniqueKind::HELIX}) {
+    Context Ctx;
+    auto M = minic::compileMiniCOrDie(Ctx, SharedIVUpdateSrc);
+    opt::runPipeline(*M);
+    verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
+    Noelle N(*M);
+    unsigned Parallelized = 0;
+    for (const auto &D : planner::makeTechnique(K, N, 4)->run())
+      Parallelized += D.Parallelized;
+    ASSERT_GE(Parallelized, 1u) << techniqueName(K);
+    verify::CheckReport Rep = verify::checkModule(*M, Snap);
+    EXPECT_TRUE(Rep.clean()) << techniqueName(K) << ":\n" << Rep.str();
+    ExecutionEngine E(*M);
+    registerParallelRuntime(E);
+    EXPECT_EQ(E.runMain(), Expected) << techniqueName(K);
+  }
 }
 
 } // namespace

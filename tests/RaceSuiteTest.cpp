@@ -4,10 +4,9 @@
 /// race-suite: the full happens-before race detector over every
 /// benchmark kernel under each parallelizing transform, plus the
 /// planner-produced plans the noelle-parallelize driver applies. Every
-/// configuration must check race-clean, and the flow-sensitive engine
-/// must never leave more pairs to the Andersen fallback than the legacy
-/// single-rule detector it replaced. Registered under the ctest label
-/// "race-suite".
+/// configuration must check race-clean; bench_races' golden report pins
+/// how many pairs each one leaves to the Andersen fallback. Registered
+/// under the ctest label "race-suite".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,9 +15,6 @@
 #include "noelle/Noelle.h"
 #include "planner/Planner.h"
 #include "verify/NoelleCheck.h"
-#include "xforms/DOALL.h"
-#include "xforms/DSWP.h"
-#include "xforms/HELIX.h"
 
 #include <gtest/gtest.h>
 
@@ -29,69 +25,25 @@ namespace {
 
 class RaceSuiteTest : public ::testing::TestWithParam<std::string> {};
 
-/// One race-detector pass over an already-transformed module (verifier
-/// and legality audits are covered by check-suite).
-struct RaceRun {
-  verify::CheckReport Rep;
-  verify::RaceRuleStats Stats;
-};
-
-RaceRun raceCheck(nir::Module &M,
-                  const verify::PreTransformSnapshot &Snap,
-                  const verify::RaceDetectorOptions &RaceOpts) {
-  RaceRun R;
-  verify::CheckOptions CO;
-  CO.RunVerifier = false;
-  CO.RunLegality = false;
-  CO.Races = RaceOpts;
-  CO.Races.Stats = &R.Stats;
-  R.Rep = verify::checkModule(M, Snap, CO);
-  return R;
-}
-
-TEST_P(RaceSuiteTest, KernelIsRaceCleanAndEngineNeverLosesToLegacy) {
+TEST_P(RaceSuiteTest, KernelIsRaceClean) {
   const bench::Benchmark *B = bench::findBenchmark(GetParam());
   ASSERT_NE(B, nullptr);
-  for (const char *Which : {"doall", "helix", "dswp"}) {
-    // Transform once; both detector modes audit the same module so the
-    // pair population is identical by construction.
+  for (TechniqueKind K : {TechniqueKind::DOALL, TechniqueKind::HELIX,
+                          TechniqueKind::DSWP}) {
     Context Ctx;
     auto M = minic::compileMiniCOrDie(Ctx, B->Source);
     verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
     Noelle N(*M);
-    if (std::string(Which) == "doall") {
-      DOALL Tool(N);
-      Tool.run();
-    } else if (std::string(Which) == "helix") {
-      HELIXOptions O;
-      O.MinimumEstimatedSpeedup = 0;
-      HELIX Tool(N, O);
-      Tool.run();
-    } else {
-      DSWPOptions O;
-      O.MinimumStageWeight = 0;
-      DSWP Tool(N, O);
-      Tool.run();
-    }
+    planner::makeTechnique(K, N, 4)->run();
 
-    RaceRun HB = raceCheck(*M, Snap, verify::RaceDetectorOptions{});
-    EXPECT_EQ(HB.Rep.count(verify::DiagKind::DataRace), 0u)
-        << B->Name << " under " << Which << " (HB engine):\n"
-        << HB.Rep.str();
-
-    RaceRun Legacy =
-        raceCheck(*M, Snap, verify::RaceDetectorOptions::legacy());
-    EXPECT_EQ(Legacy.Rep.count(verify::DiagKind::DataRace), 0u)
-        << B->Name << " under " << Which << " (legacy detector):\n"
-        << Legacy.Rep.str();
-
-    // Same pair population, so the engine's fallback count must not
-    // regress: every pair legacy could discharge structurally, a
-    // strictly richer rule set also discharges.
-    EXPECT_EQ(HB.Stats.PairsChecked, Legacy.Stats.PairsChecked)
-        << B->Name << " under " << Which;
-    EXPECT_LE(HB.Stats.AndersenFallback, Legacy.Stats.AndersenFallback)
-        << B->Name << " under " << Which;
+    // Verifier and legality audits are covered by check-suite.
+    verify::CheckOptions CO;
+    CO.RunVerifier = false;
+    CO.RunLegality = false;
+    verify::CheckReport Rep = verify::checkModule(*M, Snap, CO);
+    EXPECT_EQ(Rep.count(verify::DiagKind::DataRace), 0u)
+        << B->Name << " under " << techniqueName(K) << ":\n"
+        << Rep.str();
   }
 }
 

@@ -13,6 +13,7 @@
 #include "ir/IRBuilder.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
+#include "opt/Passes.h"
 #include "verify/CheckMetadata.h"
 #include "verify/NoelleCheck.h"
 #include "xforms/DOALL.h"
@@ -250,6 +251,67 @@ TEST(VerifyTest, UnprivatizedAccumulatorIsCaught) {
   verify::CheckReport Rep = verify::checkModule(*C.M, C.Snap);
   EXPECT_GE(Rep.count(verify::DiagKind::UnprivatizedAccumulator), 1u)
       << Rep.str();
+}
+
+// After opt::runPipeline, GVN folds the `i + 1` of `a[i + 1]` into the
+// IV update. Scaling that shared update in place makes every worker read
+// a[i + 4]: the checker must name the update and its other user.
+TEST(VerifyTest, SharedIVUpdateScaledInPlaceIsCaught) {
+  const char *Src = R"(
+    int a[48];
+    int b[48];
+    int main() {
+      for (int i = 0; i < 48; i = i + 1) a[i] = (i * i) % 23;
+      int n = a[7] + 31;
+      for (int i = 0; i < n; i = i + 1) b[i] = a[i + 1] - a[i];
+      return b[3] + b[n - 1];
+    }
+  )";
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, Src);
+  opt::runPipeline(*M);
+  verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
+  Noelle N(*M);
+  unsigned Parallelized = 0;
+  for (const auto &D : DOALL(N).run())
+    Parallelized += D.Parallelized;
+  ASSERT_GE(Parallelized, 1u);
+  verify::CheckReport Clean = verify::checkModule(*M, Snap);
+  EXPECT_EQ(Clean.count(verify::DiagKind::IVNotRebased), 0u) << Clean.str();
+
+  // Seed the in-place rewrite: the back edge's own `phi + 4` goes away
+  // and the shared `phi + 1` is scaled and fed back instead. A back edge
+  // that already reads the shared update needs no seeding.
+  auto ScaleSharedUpdateInPlace = [&] {
+    for (Function *T : tasksOfKind(*M, "doall"))
+      for (const auto &BB : T->getBlocks())
+        for (const auto &I : BB->getInstList()) {
+          auto *Phi = nir::dyn_cast<PhiInst>(I.get());
+          if (!Phi)
+            continue;
+          for (unsigned K = 0; K < Phi->getNumIncoming(); ++K) {
+            auto *Next =
+                nir::dyn_cast<nir::BinaryInst>(Phi->getIncomingValue(K));
+            if (!Next || Next->getLHS() != Phi)
+              continue;
+            for (nir::User *U : Phi->users()) {
+              auto *Shared = nir::dyn_cast<nir::BinaryInst>(U);
+              if (!Shared || Shared == Next || Shared->getLHS() != Phi ||
+                  Shared->getOp() != Next->getOp())
+                continue;
+              Shared->setOperand(1, Next->getRHS());
+              Next->replaceAllUsesWith(Shared);
+              Next->eraseFromParent();
+              return;
+            }
+          }
+        }
+  };
+  ScaleSharedUpdateInPlace();
+
+  verify::CheckReport Rep = verify::checkModule(*M, Snap);
+  EXPECT_GE(Rep.count(verify::DiagKind::IVNotRebased), 1u) << Rep.str();
+  EXPECT_NE(Rep.str().find("another user"), std::string::npos) << Rep.str();
 }
 
 //===----------------------------------------------------------------------===//

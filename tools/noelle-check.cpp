@@ -40,9 +40,7 @@
 ///                                      to enable: queue-hb,
 ///                                      multi-queue-join, loop-phase,
 ///                                      segment-order, cross-segment;
-///                                      or "all" (default), "legacy"
-///                                      (the pre-engine single-rule
-///                                      detector), "none"
+///                                      or "all" (default), "none"
 ///   --stats                            print per-rule discharge counts,
 ///                                      Andersen-fallback counts, and
 ///                                      detector wall time as one JSON
@@ -110,16 +108,12 @@ void printUsage() {
                "[--list] <kernel|file.minic|file.nir>\n");
 }
 
-/// Parses the --race-rules value: "all", "legacy", "none", or a comma
-/// list of rule names to enable (every other rule disabled).
+/// Parses the --race-rules value: "all", "none", or a comma list of rule
+/// names to enable (every other rule disabled).
 bool parseRaceRules(const std::string &List,
                     verify::RaceDetectorOptions &O) {
   if (List == "all") {
     O = verify::RaceDetectorOptions{};
-    return true;
-  }
-  if (List == "legacy") {
-    O = verify::RaceDetectorOptions::legacy();
     return true;
   }
   O = verify::RaceDetectorOptions{};

@@ -5,13 +5,15 @@
 /// facade, records which abstraction each pass requested (the ablation
 /// experiment's raw data), and re-verifies the module after every pass,
 /// aborting immediately on malformed IR so a broken transform cannot
-/// masquerade as a miscompile downstream.
+/// masquerade as a miscompile downstream. In telemetry trace mode each
+/// pass records an "opt.<pass>" span; otherwise no clock is read.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "opt/Passes.h"
 
 #include "ir/Verifier.h"
+#include "telemetry/Telemetry.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +29,8 @@ PipelineStats noelle::opt::runPipeline(nir::Module &M,
   auto RunPass = [&](const char *Name, bool Enabled, auto &&Fn) {
     if (!Enabled)
       return;
+    const bool Trace = telemetry::traceEnabled();
+    const uint64_t T0 = Trace ? telemetry::nowNs() : 0;
     N.resetRequestTracking();
     Fn();
     S.PassAbstractions.emplace_back(Name, N.getRequestedAbstractions());
@@ -37,6 +41,8 @@ PipelineStats noelle::opt::runPipeline(nir::Module &M,
         std::fprintf(stderr, "  %s\n", E.c_str());
       std::abort();
     }
+    if (Trace)
+      telemetry::traceSpan(std::string("opt.") + Name, T0, telemetry::nowNs());
   };
 
   RunPass("inline", Opts.EnableInline,

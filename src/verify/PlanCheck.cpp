@@ -1,6 +1,7 @@
 #include "verify/PlanCheck.h"
 
 #include "planner/Planner.h"
+#include "runtime/ThreadPool.h"
 
 #include <algorithm>
 #include <map>
@@ -75,6 +76,13 @@ CheckReport noelle::verify::checkPlan(nir::Module &M,
 
     if (E.Workers < 1) {
       Malformed("worker count must be at least 1");
+      continue;
+    }
+    // A static dispatch runs one pool job per worker, and the pool
+    // holds at most MaxWorkers.
+    if (E.Workers > nir::ThreadPool::MaxWorkers) {
+      Malformed("worker count must be at most " +
+                std::to_string(nir::ThreadPool::MaxWorkers));
       continue;
     }
     if (E.ChunkGrain < 1) {

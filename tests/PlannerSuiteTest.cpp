@@ -12,11 +12,8 @@
 
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
-#include "planner/Feedback.h"
-#include "planner/Planner.h"
-#include "runtime/ParallelRuntime.h"
-#include "verify/NoelleCheck.h"
-#include "verify/PlanCheck.h"
+#include "interp/Interpreter.h"
+#include "tools/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -42,44 +39,40 @@ TEST_P(PlannerSuiteTest, PlanApplyCheckExecute) {
     Expected = E.runMain();
   }
 
-  Context Ctx;
-  auto M = minic::compileMiniCOrDie(Ctx, B->Source);
-  verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
-  Noelle N(*M);
-  planner::Planner P(N);
-
-  // Plan, then audit the plan before touching the module.
-  planner::ProgramPlan Plan = P.plan();
-  verify::CheckReport PlanRep = verify::checkPlan(*M, Plan);
-  EXPECT_TRUE(PlanRep.clean())
-      << B->Name << " plan audit:\n" << PlanRep.str();
+  // The tools' driver: plan, audit the plan before touching the module,
+  // apply, audit the transformed module, execute, feed back.
+  tools::PipelineConfig C;
+  C.Run = true;
+  const tools::PipelineResult R = tools::runPipeline(B->Name, C);
+  ASSERT_TRUE(R.InputError.empty()) << R.InputError;
+  const planner::ProgramPlan &Plan = R.Plan;
+  EXPECT_TRUE(R.PlanReport.clean())
+      << B->Name << " plan audit:\n" << R.PlanReport.str();
 
   // Every planned entry must actually apply — the plan is a promise.
-  for (const auto &D : P.apply(Plan))
+  for (const auto &D : R.Decisions)
     EXPECT_TRUE(D.Parallelized)
         << B->Name << " entry in " << D.FunctionName
         << " failed to apply: " << D.Reason;
 
   // The transformed module must pass the post-transform audit.
-  verify::CheckReport Rep = verify::checkModule(*M, Snap);
-  EXPECT_TRUE(Rep.clean()) << B->Name << " ("
-                           << Plan.Entries.size()
-                           << " planned loops):\n" << Rep.str();
+  EXPECT_TRUE(R.ModuleReport.clean()) << B->Name << " ("
+                                      << Plan.Entries.size()
+                                      << " planned loops):\n"
+                                      << R.ModuleReport.str();
 
   // And still compute the sequential result.
-  ExecutionEngine E(*M);
-  registerParallelRuntime(E);
-  EXPECT_EQ(E.runMain(), Expected) << B->Name;
+  ASSERT_TRUE(R.Ran) << B->Name;
+  EXPECT_EQ(R.Main, Expected) << B->Name;
 
   // Feedback: measured speedups from the run's DispatchRecords flow
   // back into the plan. Every top-level entry that dispatched must be
   // measurable (the record→origin→entry join holds), and a measured
   // plan must still round-trip through the wire format.
-  planner::FeedbackResult FB = planner::applyMeasuredSpeedups(
-      Plan, *M, E.getDispatchRecords());
-  if (!E.getDispatchRecords().empty())
-    EXPECT_GT(FB.EntriesMeasured, 0u)
+  if (!Plan.Entries.empty()) {
+    EXPECT_GT(R.Feedback.EntriesMeasured, 0u)
         << B->Name << ": no dispatch record mapped back to a plan entry";
+  }
   // Shortfalls (measured < 0.8x of the estimate) are a warning metric,
   // not a failure: the estimate comes from static weights, the
   // measurement from real records, and honest disagreement is exactly

@@ -3,7 +3,8 @@
 /// \file
 /// Integration tests of the noelle-* tool layer: the Figure-1 pipeline
 /// (whole-IR -> profile -> embed -> rm-lc-deps -> meta-pdg-embed -> load
-/// -> transform -> bin) end to end.
+/// -> transform -> bin) end to end, and the pipeline driver behind
+/// noelle-parallelize and noelle-check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +14,9 @@
 #include "noelle/MemDepProfiler.h"
 #include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
+#include "telemetry/Telemetry.h"
 #include "tools/NoelleTools.h"
+#include "tools/Pipeline.h"
 #include "xforms/HELIX.h"
 
 #include <gtest/gtest.h>
@@ -203,6 +206,58 @@ TEST(ToolsTest, RmLCDependencesReducesWork) {
   unsigned Moved = tools::rmLCDependences(*M);
   EXPECT_GT(Moved, 0u);
   EXPECT_EQ(tools::makeBinary(*M)->runMain(), Expected);
+}
+
+// The pipeline driver times every layer it runs. With telemetry off it
+// records no trace event; in trace mode each of those layers is a span.
+TEST(ToolsTest, RunPipelineTimesEveryLayerItRan) {
+  const telemetry::Mode Saved = telemetry::mode();
+  tools::PipelineConfig Full; // --opt --speculate --run: every layer
+  Full.Optimize = true;
+  Full.Speculate = true;
+  Full.Run = true;
+  tools::PipelineConfig Forced; // --technique=doall: no planner, no run
+  Forced.Technique = TechniqueKind::DOALL;
+
+  telemetry::setMode(telemetry::Mode::Off);
+  telemetry::clearTrace();
+  const tools::PipelineResult Off = tools::runPipeline("x264", Full);
+  EXPECT_EQ(telemetry::traceEventCount(), 0u);
+  ASSERT_TRUE(Off.Ran);
+  EXPECT_EQ(Off.Main, 220603);
+  ASSERT_EQ(Off.Layers.size(), 11u);
+  double Sum = 0;
+  for (size_t I = 0; I < Off.Layers.size(); ++I) {
+    EXPECT_EQ(Off.Layers[I].L, static_cast<tools::Layer>(I));
+    EXPECT_GT(Off.Layers[I].Ms, 0) << tools::layerName(Off.Layers[I].L);
+    Sum += Off.Layers[I].Ms;
+  }
+  EXPECT_LE(Sum, Off.WallMs);
+
+  const tools::PipelineResult Sweep = tools::runPipeline("crc", Forced);
+  std::vector<tools::Layer> Ran;
+  for (const tools::LayerTime &T : Sweep.Layers)
+    Ran.push_back(T.L);
+  EXPECT_EQ(Ran, (std::vector<tools::Layer>{
+                     tools::Layer::Frontend, tools::Layer::Snapshot,
+                     tools::Layer::Apply, tools::Layer::ModuleCheck}));
+
+  telemetry::setMode(telemetry::Mode::Trace);
+  if (telemetry::traceEnabled()) {
+    for (const tools::PipelineConfig &C : {Full, Forced}) {
+      telemetry::clearTrace();
+      const tools::PipelineResult On = tools::runPipeline("x264", C);
+      const std::string Trace = telemetry::traceJson();
+      ASSERT_FALSE(On.Layers.empty());
+      for (const tools::LayerTime &T : On.Layers)
+        EXPECT_NE(Trace.find(std::string("\"name\": \"") +
+                             tools::layerName(T.L) + "\""),
+                  std::string::npos)
+            << tools::layerName(T.L);
+    }
+  }
+  telemetry::setMode(Saved);
+  telemetry::clearTrace();
 }
 
 } // namespace

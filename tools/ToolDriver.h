@@ -1,11 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared command-line plumbing for the noelle-* tools: kernel listing,
-/// input resolution (benchmark kernel by name, MiniC source file, or
-/// parsed .nir text), option-parsing helpers, and plan lookup (an
-/// explicit plan file, or the plan embedded in the module's metadata
-/// next to the PDG cache). Header-only so each tool stays a single
+/// Shared command-line plumbing for the noelle-* tools: kernel listing
+/// and option parsing, including the telemetry flags (--metrics=,
+/// --trace=). Loading inputs and plans is tools::runPipeline's job
+/// (src/tools/Pipeline.h). Header-only so each tool stays a single
 /// translation unit.
 ///
 //===----------------------------------------------------------------------===//
@@ -14,16 +13,13 @@
 #define TOOLS_TOOLDRIVER_H
 
 #include "benchmarks/Suite.h"
-#include "frontend/MiniC.h"
-#include "ir/Parser.h"
-#include "planner/Plan.h"
+#include "runtime/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
+#include <initializer_list>
 #include <string>
 
 namespace noelle {
@@ -35,47 +31,6 @@ inline void listKernels() {
     std::printf("%-24s %s\n", B.Name.c_str(), B.Suite.c_str());
 }
 
-/// Materializes \p Input as a module: a benchmark kernel or MiniC file
-/// compiles; a file ending in .nir parses as IR text.
-inline std::unique_ptr<nir::Module>
-loadInputModule(const char *Tool, nir::Context &Ctx,
-                const std::string &Input) {
-  if (const bench::Benchmark *B = bench::findBenchmark(Input)) {
-    std::string Error;
-    auto M = minic::compileMiniC(Ctx, B->Source, Error);
-    if (!M)
-      std::fprintf(stderr, "%s: %s: %s\n", Tool, Input.c_str(),
-                   Error.c_str());
-    return M;
-  }
-  std::ifstream In(Input);
-  if (!In) {
-    std::fprintf(stderr, "%s: cannot open '%s'\n", Tool, Input.c_str());
-    return nullptr;
-  }
-  std::stringstream SS;
-  SS << In.rdbuf();
-  std::string Error;
-  auto M = Input.size() > 4 && Input.rfind(".nir") == Input.size() - 4
-               ? nir::parseModule(Ctx, SS.str(), Error)
-               : minic::compileMiniC(Ctx, SS.str(), Error);
-  if (!M)
-    std::fprintf(stderr, "%s: %s: %s\n", Tool, Input.c_str(),
-                 Error.c_str());
-  return M;
-}
-
-/// Matches "--key=" options carrying an unsigned value; returns false
-/// when \p Arg does not start with \p Prefix.
-inline bool parseUnsignedOpt(const std::string &Arg, const char *Prefix,
-                             unsigned &Out) {
-  size_t L = std::strlen(Prefix);
-  if (Arg.rfind(Prefix, 0) != 0)
-    return false;
-  Out = static_cast<unsigned>(std::atoi(Arg.c_str() + L));
-  return true;
-}
-
 /// Matches "--key=" options carrying a string value.
 inline bool parseStringOpt(const std::string &Arg, const char *Prefix,
                            std::string &Out) {
@@ -83,6 +38,44 @@ inline bool parseStringOpt(const std::string &Arg, const char *Prefix,
   if (Arg.rfind(Prefix, 0) != 0)
     return false;
   Out = Arg.substr(L);
+  return true;
+}
+
+/// A flag without a value: \p Name sets \p *Field to \p Value.
+struct Switch {
+  const char *Name;
+  bool *Field;
+  bool Value;
+};
+
+/// Applies the switch \p Arg names; false when none does.
+inline bool parseSwitch(const std::string &Arg,
+                        std::initializer_list<Switch> Switches) {
+  for (const Switch &S : Switches)
+    if (Arg == S.Name) {
+      *S.Field = S.Value;
+      return true;
+    }
+  return false;
+}
+
+/// Matches "--cores=N". N is a worker count: digits only, from 1 to
+/// ThreadPool::MaxWorkers. Any other value exits 2 with a diagnostic.
+inline bool parseCoresOpt(const char *Tool, const std::string &Arg,
+                          unsigned &Out) {
+  std::string V;
+  if (!parseStringOpt(Arg, "--cores=", V))
+    return false;
+  const bool Digits = !V.empty() && V.size() <= 9 &&
+                      V.find_first_not_of("0123456789") == std::string::npos;
+  const unsigned long N = Digits ? std::stoul(V) : 0;
+  if (N < 1 || N > nir::ThreadPool::MaxWorkers) {
+    std::fprintf(stderr,
+                 "%s: --cores must be an integer from 1 to %u, got '%s'\n",
+                 Tool, nir::ThreadPool::MaxWorkers, V.c_str());
+    std::exit(2);
+  }
+  Out = static_cast<unsigned>(N);
   return true;
 }
 
@@ -98,6 +91,24 @@ inline bool parseMetricsOpt(const std::string &Arg, std::string &Path) {
   return true;
 }
 
+/// Matches "--trace=<path>". On match, switches the telemetry layer to
+/// trace mode before anything runs; exits 2 when telemetry is compiled
+/// out, since there would be nothing to record.
+inline bool parseTraceOpt(const char *Tool, const std::string &Arg,
+                          std::string &Path) {
+  if (!parseStringOpt(Arg, "--trace=", Path))
+    return false;
+  telemetry::setMode(telemetry::Mode::Trace);
+  if (!telemetry::traceEnabled()) {
+    std::fprintf(stderr,
+                 "%s: telemetry is compiled out "
+                 "(NOELLE_TELEMETRY_DISABLED); nothing to record\n",
+                 Tool);
+    std::exit(2);
+  }
+  return true;
+}
+
 /// Writes the canonical metrics snapshot (telemetry::metricsJson) to
 /// \p Path when nonempty. Returns false (after printing) on I/O errors.
 inline bool writeMetricsIfRequested(const char *Tool,
@@ -110,24 +121,6 @@ inline bool writeMetricsIfRequested(const char *Tool,
     return false;
   }
   return true;
-}
-
-/// Loads the plan to operate on: an explicit plan file when given,
-/// otherwise the plan embedded in \p M's metadata. Hash binding is not
-/// checked here — that is checkPlan's first audit.
-inline bool loadPlan(const std::string &PlanFile, const nir::Module &M,
-                     planner::ProgramPlan &Out, std::string &Err) {
-  if (!PlanFile.empty()) {
-    std::ifstream In(PlanFile);
-    if (!In) {
-      Err = "cannot open '" + PlanFile + "'";
-      return false;
-    }
-    std::stringstream SS;
-    SS << In.rdbuf();
-    return planner::ProgramPlan::deserialize(SS.str(), Out, Err);
-  }
-  return planner::ProgramPlan::fromModule(M, Out, Err);
 }
 
 } // namespace tooldriver

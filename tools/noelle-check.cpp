@@ -7,11 +7,12 @@
 /// Usage:
 ///   noelle-check [options] <kernel-name | minic-file | nir-file>
 ///
-/// The input is loaded (a benchmark-suite kernel by name, a MiniC source
-/// file, or parsed NIR text for files ending in .nir), a pre-transform
-/// snapshot is captured (IR text plus the embedded PDG cache), the
-/// requested parallelizing transforms run, and the transformed module
-/// is checked:
+/// For each requested transform, tools::runPipeline loads the input (a
+/// benchmark-suite kernel by name, a MiniC source file, or parsed NIR
+/// text for files ending in .nir), captures a pre-transform snapshot
+/// (IR text plus the embedded PDG cache), sweeps the transform over
+/// every eligible loop (`noelle-parallelize --technique=` runs the same
+/// sweep), and checks the transformed module:
 ///   - structural + dominance SSA verification (nir::verifyModule);
 ///   - legality: every loop-carried dependence of the original loop must
 ///     be discharged by a legal mechanism of the transform that claimed
@@ -23,7 +24,9 @@
 ///   --transform=doall|helix|dswp|spec|all
 ///                                      which transform(s) to audit (all;
 ///                                      "spec" profiles the module first
-///                                      and runs speculative DOALL)
+///                                      unless it carries a current
+///                                      profile, and runs speculative
+///                                      DOALL)
 ///   --speculative                      audit the speculation machinery:
 ///                                      journal coverage, recovery path,
 ///                                      premise evidence. Defaults the
@@ -31,7 +34,7 @@
 ///                                      --plan mode, profiles the module
 ///                                      and enumerates speculative plan
 ///                                      entries
-///   --cores=N                          worker count (4)
+///   --cores=N                          worker count, 1 to 1024 (4)
 ///   --opt                              run the optimizer pipeline before
 ///                                      the transforms (noelle-opt order)
 ///   --lint                             also run the dataflow lint pack
@@ -43,7 +46,8 @@
 ///                                      or "all" (default), "none"
 ///   --stats                            print per-rule discharge counts,
 ///                                      Andersen-fallback counts, and
-///                                      detector wall time as one JSON
+///                                      the module audit's wall time
+///                                      (check_ms) as one JSON
 ///                                      object (the metrics-snapshot
 ///                                      shape)
 ///   --metrics=<path>                   enable the telemetry registry
@@ -65,17 +69,9 @@
 
 #include "ToolDriver.h"
 
-#include "noelle/MemDepProfiler.h"
-#include "noelle/Noelle.h"
-#include "opt/Passes.h"
-#include "planner/Planner.h"
-#include "verify/NoelleCheck.h"
-#include "verify/PlanCheck.h"
+#include "tools/Pipeline.h"
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -85,18 +81,12 @@ namespace {
 
 struct CLIOptions {
   std::vector<std::string> Transforms;
-  bool Speculative = false;
-  unsigned Cores = 4;
-  bool Optimize = false;
+  /// --plan and --plan-file= clear Pipeline.Apply: audit the plan only.
+  tools::PipelineConfig Pipeline;
   bool Lint = false;
-  bool Races = true;
-  bool Legality = true;
   bool Stats = false;
-  bool PlanMode = false;
-  std::string PlanFile;
   std::string MetricsPath;
   std::string Input;
-  verify::RaceDetectorOptions RaceOpts;
 };
 
 void printUsage() {
@@ -149,6 +139,7 @@ bool parseRaceRules(const std::string &List,
 }
 
 bool parseArgs(int Argc, char **Argv, CLIOptions &Opts) {
+  tools::PipelineConfig &P = Opts.Pipeline;
   for (int K = 1; K < Argc; ++K) {
     std::string Arg = Argv[K];
     if (Arg == "--list") {
@@ -169,53 +160,25 @@ bool parseArgs(int Argc, char **Argv, CLIOptions &Opts) {
       }
       continue;
     }
-    if (Arg.rfind("--cores=", 0) == 0) {
-      Opts.Cores = static_cast<unsigned>(std::atoi(Arg.c_str() + 8));
-      if (Opts.Cores == 0) {
-        std::fprintf(stderr, "noelle-check: --cores must be positive\n");
-        return false;
-      }
-      continue;
-    }
-    if (Arg == "--speculative") {
-      Opts.Speculative = true;
-      continue;
-    }
-    if (Arg == "--plan") {
-      Opts.PlanMode = true;
-      continue;
-    }
-    if (tooldriver::parseStringOpt(Arg, "--plan-file=", Opts.PlanFile)) {
-      Opts.PlanMode = true;
-      continue;
-    }
-    if (Arg == "--opt") {
-      Opts.Optimize = true;
-      continue;
-    }
-    if (Arg == "--lint") {
-      Opts.Lint = true;
-      continue;
-    }
-    if (Arg == "--no-races") {
-      Opts.Races = false;
+    if (tooldriver::parseStringOpt(Arg, "--plan-file=", P.PlanFile)) {
+      P.Apply = false;
       continue;
     }
     if (Arg.rfind("--race-rules=", 0) == 0) {
-      if (!parseRaceRules(Arg.substr(13), Opts.RaceOpts))
+      if (!parseRaceRules(Arg.substr(13), P.RaceRules))
         return false;
       continue;
     }
-    if (Arg == "--stats") {
-      Opts.Stats = true;
+    if (tooldriver::parseCoresOpt("noelle-check", Arg, P.Cores) ||
+        tooldriver::parseMetricsOpt(Arg, Opts.MetricsPath) ||
+        tooldriver::parseSwitch(Arg, {{"--speculative", &P.Speculate, true},
+                                      {"--plan", &P.Apply, false},
+                                      {"--opt", &P.Optimize, true},
+                                      {"--lint", &Opts.Lint, true},
+                                      {"--no-races", &P.Races, false},
+                                      {"--stats", &Opts.Stats, true},
+                                      {"--no-legality", &P.Legality, false}}))
       continue;
-    }
-    if (tooldriver::parseMetricsOpt(Arg, Opts.MetricsPath))
-      continue;
-    if (Arg == "--no-legality") {
-      Opts.Legality = false;
-      continue;
-    }
     if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "noelle-check: unknown option '%s'\n", Arg.c_str());
       return false;
@@ -233,89 +196,37 @@ bool parseArgs(int Argc, char **Argv, CLIOptions &Opts) {
   // --speculative with no explicit --transform audits the speculative
   // pipeline alone; with explicit transforms it just arms the audit.
   if (Opts.Transforms.empty())
-    Opts.Transforms = Opts.Speculative
-                          ? std::vector<std::string>{"spec"}
-                          : std::vector<std::string>{"doall", "helix",
-                                                     "dswp"};
+    Opts.Transforms = P.Speculate ? std::vector<std::string>{"spec"}
+                                  : std::vector<std::string>{"doall", "helix",
+                                                             "dswp"};
   return true;
 }
 
-/// Plan-audit mode: computes (or loads) a plan for the module and
-/// verifies it — hash binding, entry well-formedness, loop existence,
-/// and per-entry technique legality — without transforming anything.
-unsigned checkPlanMode(nir::Module &M, const CLIOptions &Opts) {
-  if (Opts.Optimize)
-    opt::runPipeline(M);
-
-  // Speculative plan entries need the profile both to be enumerated and
-  // to re-derive their premises during the audit. Embedding is hash-
-  // neutral (the content hash is metadata-agnostic), so a --plan-file's
-  // hash binding still holds.
-  if (Opts.Speculative)
-    profileMemDeps(M).embed(M);
-
-  planner::ProgramPlan Plan;
-  if (!Opts.PlanFile.empty()) {
-    std::string Err;
-    if (!tooldriver::loadPlan(Opts.PlanFile, M, Plan, Err)) {
-      std::fprintf(stderr, "noelle-check: %s\n", Err.c_str());
-      return 1;
-    }
-  } else {
-    Noelle N(M);
-    planner::PlannerOptions PO;
-    PO.MaxWorkers = Opts.Cores;
-    PO.EnableSpeculation = Opts.Speculative;
-    Plan = planner::Planner(N, PO).plan();
-  }
-
-  verify::CheckReport Rep = verify::checkPlan(M, Plan);
-  std::printf("== plan: %zu entr%s, %zu finding(s)\n", Plan.Entries.size(),
-              Plan.Entries.size() == 1 ? "y" : "ies",
+/// Plan-audit mode: the plan the planner computes (or --plan-file's) is
+/// verified against the module — hash binding, entry well-formedness,
+/// loop existence, and per-entry technique legality — without
+/// transforming anything.
+unsigned printPlanAudit(const tools::PipelineResult &R) {
+  const verify::CheckReport &Rep = R.PlanReport;
+  std::printf("== plan: %zu entr%s, %zu finding(s)\n", R.Plan.Entries.size(),
+              R.Plan.Entries.size() == 1 ? "y" : "ies",
               Rep.diagnostics().size());
   if (!Rep.clean())
     std::printf("%s", Rep.str().c_str());
   return static_cast<unsigned>(Rep.diagnostics().size());
 }
 
-/// Transforms and checks one freshly loaded module. Returns the number
+/// Prints the module audit of one transform's sweep. Returns the number
 /// of diagnostics.
-unsigned checkOne(nir::Module &M, const std::string &Transform,
-                  const CLIOptions &Opts) {
-  // With --opt the pipeline runs first, so the parallelizers (and the
-  // legality snapshot) see the optimized loops — the production order.
-  if (Opts.Optimize)
-    opt::runPipeline(M);
-
-  // Speculation needs its evidence base before the snapshot: profile the
-  // original module and embed the result, so both the snapshot text and
-  // the transformed module carry it.
-  if (Transform == "spec")
-    profileMemDeps(M).embed(M);
-
-  verify::PreTransformSnapshot Snap = verify::captureForCheck(M);
-
-  Noelle N(M);
-  TechniqueKind K = TechniqueKind::SpecDOALL;
-  if (Transform != "spec")
-    techniqueFromName(Transform, K);
+unsigned printModuleAudit(const CLIOptions &Opts, const std::string &Transform,
+                          const tools::PipelineResult &R,
+                          const verify::RaceRuleStats &Stats) {
   unsigned Parallelized = 0;
-  for (const auto &D : planner::makeTechnique(K, N, Opts.Cores)->run())
+  for (const Decision &D : R.Decisions)
     Parallelized += D.Parallelized;
-
-  verify::CheckOptions CO;
-  CO.RunLegality = Opts.Legality;
-  CO.RunRaces = Opts.Races;
-  CO.Speculative = Opts.Speculative || Transform == "spec";
-  CO.Races = Opts.RaceOpts;
-  verify::RaceRuleStats Stats;
-  if (Opts.Stats)
-    CO.Races.Stats = &Stats;
-  auto T0 = std::chrono::steady_clock::now();
-  verify::CheckReport Rep = verify::checkModule(M, Snap, CO);
-  auto T1 = std::chrono::steady_clock::now();
+  verify::CheckReport Rep = R.ModuleReport;
   if (Opts.Lint)
-    verify::lintModule(M, Rep);
+    verify::lintModule(*R.M, Rep);
 
   std::printf("== %s: %u loop(s) parallelized, %zu finding(s)\n",
               Transform.c_str(), Parallelized, Rep.diagnostics().size());
@@ -325,7 +236,6 @@ unsigned checkOne(nir::Module &M, const std::string &Transform,
     // Machine-readable, mirroring the metrics-snapshot shape: detector
     // counters under "counters", per-rule discharges under "discharged".
     namespace telemetry = noelle::telemetry;
-    double Ms = std::chrono::duration<double, std::milli>(T1 - T0).count();
     telemetry::JsonObject Counters;
     Counters.add("race.pairs_checked", Stats.PairsChecked)
         .add("race.andersen_fallback", Stats.AndersenFallback)
@@ -337,7 +247,7 @@ unsigned checkOne(nir::Module &M, const std::string &Transform,
     telemetry::JsonObject Root;
     Root.add("tool", std::string("noelle-check"))
         .add("transform", Transform)
-        .add("check_ms", Ms)
+        .add("check_ms", R.ms(tools::Layer::ModuleCheck))
         .addRaw("counters", Counters.str())
         .addRaw("discharged", Discharged.str());
     std::printf("%s\n", Root.str().c_str());
@@ -352,17 +262,33 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, Opts))
     return 2;
 
-  // Each audit starts from a fresh load: the transforms rewrite the
-  // module.
+  // Each audit is its own pipeline run from a fresh load: the transforms
+  // rewrite the module.
+  const bool PlanMode = !Opts.Pipeline.Apply;
   unsigned Findings = 0;
-  size_t Audits = Opts.PlanMode ? 1 : Opts.Transforms.size();
-  for (size_t I = 0; I < Audits; ++I) {
-    nir::Context Ctx;
-    auto M = tooldriver::loadInputModule("noelle-check", Ctx, Opts.Input);
-    if (!M)
+  for (size_t I = 0; I < (PlanMode ? 1 : Opts.Transforms.size()); ++I) {
+    tools::PipelineConfig C = Opts.Pipeline;
+    verify::RaceRuleStats Stats;
+    if (Opts.Stats)
+      C.RaceRules.Stats = &Stats;
+    if (!PlanMode) {
+      TechniqueKind K = TechniqueKind::SpecDOALL;
+      if (Opts.Transforms[I] != "spec")
+        techniqueFromName(Opts.Transforms[I], K);
+      C.Technique = K;
+    }
+    const tools::PipelineResult R = tools::runPipeline(Opts.Input, C);
+    if (!R.InputError.empty()) {
+      std::fprintf(stderr, "noelle-check: %s\n", R.InputError.c_str());
       return 2;
-    Findings += Opts.PlanMode ? checkPlanMode(*M, Opts)
-                              : checkOne(*M, Opts.Transforms[I], Opts);
+    }
+    if (!R.PlanFileError.empty()) {
+      std::fprintf(stderr, "noelle-check: %s\n", R.PlanFileError.c_str());
+      ++Findings;
+      continue;
+    }
+    Findings += PlanMode ? printPlanAudit(R)
+                         : printModuleAudit(Opts, Opts.Transforms[I], R, Stats);
   }
 
   if (Findings == 0)

@@ -34,6 +34,7 @@
 #include "interp/Interpreter.h"
 #include "ir/Verifier.h"
 #include "opt/Passes.h"
+#include "tools/Pipeline.h"
 
 #include <cstdio>
 #include <cstring>
@@ -89,9 +90,12 @@ int main(int argc, char **argv) {
   }
 
   nir::Context Ctx;
-  auto M = tooldriver::loadInputModule("noelle-opt", Ctx, Input);
-  if (!M)
+  std::string Err;
+  auto M = tools::loadInputModule(Ctx, Input, Err);
+  if (!M) {
+    std::fprintf(stderr, "noelle-opt: %s\n", Err.c_str());
     return 2;
+  }
   if (!nir::moduleVerifies(*M)) {
     std::fprintf(stderr, "noelle-opt: input module does not verify\n");
     return 2;

@@ -6,14 +6,16 @@
 /// Usage:
 ///   noelle-parallelize [options] <kernel-name | minic-file | nir-file>
 ///
-/// The input is materialized, a pre-transform snapshot is captured, the
-/// planner picks a strategy for every hot loop (technique, worker
-/// count, chunk grain — from profile data and the cost model), the plan
-/// is audited (`noelle-check --plan` semantics), applied, the result is
-/// audited against the snapshot, and optionally executed.
+/// Runs tools::runPipeline: the input is materialized, a pre-transform
+/// snapshot is captured, the planner picks a strategy for every hot loop
+/// (technique, worker count, chunk grain — from profile data and the
+/// cost model), the plan is audited (`noelle-check --plan` semantics),
+/// applied, the result is audited against the snapshot, and optionally
+/// executed.
 ///
 /// Options:
-///   --cores=N            worker-count search ceiling (4)
+///   --cores=N            worker-count search ceiling, 1 to 1024 (4);
+///                        --cores=1 plans nothing: the sequential run
 ///   --speculate          let the planner consider profile-guided
 ///                        speculative DOALL: a memory-dependence profile
 ///                        is collected (by running main()) and embedded
@@ -21,15 +23,17 @@
 ///                        speculative candidates join the enumeration,
 ///                        and the post-transform audit includes the
 ///                        --speculative checks
-///   --technique=K        skip the planner: force doall|helix|dswp|
-///                        spec-doall on every eligible loop (the legacy
-///                        per-tool sweep)
+///   --technique=K        skip the planner: sweep doall|helix|dswp|
+///                        spec-doall over every eligible loop, exactly
+///                        the sweep `noelle-check --transform=K` audits
 ///   --plan-file=<path>   apply a previously saved plan instead of
 ///                        computing one
 ///   --plan-only          stop after planning: print the plan, do not
 ///                        transform
-///   --emit-plan          print the plan before applying it
+///   --emit-plan          print the plan (with --run, including the
+///                        speedups the run measured)
 ///   --save-plan          embed the plan in the module's metadata
+///                        (with --run, the measured plan)
 ///   --overheads=<json>   derive spawn cost from a BENCH_runtime.json
 ///   --no-nested          do not plan DOALL loops inside DSWP stages
 ///   --no-profile         plan from static defaults (no profile runs)
@@ -39,26 +43,23 @@
 ///   --run                execute main() after transforming
 ///   --metrics=<path>     enable the telemetry registry and write its
 ///                        JSON snapshot to <path> on exit
+///   --trace=<path>       record in telemetry trace mode and write a
+///                        Chrome trace_event JSON (chrome://tracing,
+///                        Perfetto): one span per pipeline layer and
+///                        optimizer pass, plus the runtime's dispatch,
+///                        task, chunk, queue and stall spans; then print
+///                        a summary and the time of each layer
 ///   --print              print the transformed module to stdout
 ///   --list               list benchmark kernels and exit
 ///
 /// Exit status: 0 clean, 1 when any audit finding or failed plan entry,
-/// 2 on usage/compile errors.
+/// 2 on usage/compile/IO errors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ToolDriver.h"
 
-#include "interp/Interpreter.h"
-#include "ir/Verifier.h"
-#include "noelle/MemDepProfiler.h"
-#include "noelle/Noelle.h"
-#include "opt/Passes.h"
-#include "planner/Feedback.h"
-#include "planner/Planner.h"
-#include "runtime/ParallelRuntime.h"
-#include "verify/NoelleCheck.h"
-#include "verify/PlanCheck.h"
+#include "tools/Pipeline.h"
 
 #include <iostream>
 
@@ -67,21 +68,11 @@ using namespace noelle;
 namespace {
 
 struct CLIOptions {
-  unsigned Cores = 4;
-  std::string ForcedTechnique; // empty = free planner
-  std::string PlanFile;
-  std::string OverheadsFile;
-  bool PlanOnly = false;
+  tools::PipelineConfig Pipeline;
   bool EmitPlan = false;
-  bool SavePlan = false;
-  bool Nested = true;
-  bool Profile = true;
-  bool Speculate = false;
-  bool Check = true;
-  bool Optimize = false;
-  bool Run = false;
   bool Print = false;
   std::string MetricsPath;
+  std::string TracePath;
   std::string Input;
 };
 
@@ -92,81 +83,53 @@ void printUsage() {
       "[--technique=doall|helix|dswp|spec-doall] [--plan-file=F] "
       "[--plan-only] [--emit-plan] [--save-plan] "
       "[--overheads=F] [--no-nested] [--no-profile] [--no-check] "
-      "[--opt] [--run] [--print] [--list] <kernel|file.minic|file.nir>\n");
+      "[--opt] [--run] [--metrics=F] [--trace=F] [--print] [--list] "
+      "<kernel|file.minic|file.nir>\n");
 }
 
 bool parseArgs(int Argc, char **Argv, CLIOptions &O) {
+  tools::PipelineConfig &P = O.Pipeline;
   for (int K = 1; K < Argc; ++K) {
     std::string Arg = Argv[K];
+    std::string Value;
     if (Arg == "--list") {
       tooldriver::listKernels();
       std::exit(0);
     }
-    if (tooldriver::parseUnsignedOpt(Arg, "--cores=", O.Cores)) {
-      if (O.Cores == 0) {
-        std::fprintf(stderr,
-                     "noelle-parallelize: --cores must be positive\n");
-        return false;
-      }
+    if (tooldriver::parseCoresOpt("noelle-parallelize", Arg, P.Cores) ||
+        tooldriver::parseStringOpt(Arg, "--plan-file=", P.PlanFile) ||
+        tooldriver::parseMetricsOpt(Arg, O.MetricsPath) ||
+        tooldriver::parseTraceOpt("noelle-parallelize", Arg, O.TracePath) ||
+        tooldriver::parseSwitch(Arg, {{"--plan-only", &P.Apply, false},
+                                      {"--emit-plan", &O.EmitPlan, true},
+                                      {"--save-plan", &P.SavePlan, true},
+                                      {"--speculate", &P.Speculate, true},
+                                      {"--no-nested", &P.Nested, false},
+                                      {"--no-profile", &P.Profile, false},
+                                      {"--no-check", &P.Check, false},
+                                      {"--opt", &P.Optimize, true},
+                                      {"--run", &P.Run, true},
+                                      {"--print", &O.Print, true}}))
       continue;
-    }
-    if (tooldriver::parseStringOpt(Arg, "--technique=",
-                                   O.ForcedTechnique)) {
-      TechniqueKind K2;
-      if (!techniqueFromName(O.ForcedTechnique, K2)) {
+    if (tooldriver::parseStringOpt(Arg, "--technique=", Value)) {
+      TechniqueKind Kind;
+      if (!techniqueFromName(Value, Kind)) {
         std::fprintf(stderr,
                      "noelle-parallelize: unknown technique '%s'\n",
-                     O.ForcedTechnique.c_str());
+                     Value.c_str());
+        return false;
+      }
+      P.Technique = Kind;
+      continue;
+    }
+    if (tooldriver::parseStringOpt(Arg, "--overheads=", Value)) {
+      std::string Err;
+      if (!planner::loadMeasuredOverheads(Value, P.Overheads, Err)) {
+        std::fprintf(stderr, "noelle-parallelize: %s\n", Err.c_str());
         return false;
       }
       continue;
     }
-    if (tooldriver::parseStringOpt(Arg, "--plan-file=", O.PlanFile))
-      continue;
-    if (tooldriver::parseStringOpt(Arg, "--overheads=", O.OverheadsFile))
-      continue;
-    if (Arg == "--plan-only") {
-      O.PlanOnly = true;
-      continue;
-    }
-    if (Arg == "--emit-plan") {
-      O.EmitPlan = true;
-      continue;
-    }
-    if (Arg == "--save-plan") {
-      O.SavePlan = true;
-      continue;
-    }
-    if (Arg == "--speculate") {
-      O.Speculate = true;
-      continue;
-    }
-    if (Arg == "--no-nested") {
-      O.Nested = false;
-      continue;
-    }
-    if (Arg == "--no-profile") {
-      O.Profile = false;
-      continue;
-    }
-    if (Arg == "--no-check") {
-      O.Check = false;
-      continue;
-    }
-    if (Arg == "--opt") {
-      O.Optimize = true;
-      continue;
-    }
-    if (Arg == "--run") {
-      O.Run = true;
-      continue;
-    }
-    if (Arg == "--print") {
-      O.Print = true;
-      continue;
-    }
-    if (tooldriver::parseMetricsOpt(Arg, O.MetricsPath))
-      continue;
     if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "noelle-parallelize: unknown option '%s'\n",
                    Arg.c_str());
@@ -203,6 +166,90 @@ void printDecisions(const std::vector<Decision> &Decisions) {
               Parallelized);
 }
 
+/// Prints what the pipeline produced, up to the audit that stopped it.
+/// Returns the exit status.
+int printResult(const CLIOptions &O, const tools::PipelineResult &R) {
+  const tools::PipelineConfig &P = O.Pipeline;
+  if (!P.Technique && (O.EmitPlan || !P.Apply))
+    std::fputs(R.Plan.serialize().c_str(), stdout);
+  if (!R.PlanReport.clean()) {
+    std::printf("%s", R.PlanReport.str().c_str());
+    return 1;
+  }
+  if (P.Apply)
+    printDecisions(R.Decisions);
+  if (!R.ModuleReport.clean()) {
+    std::printf("%s", R.ModuleReport.str().c_str());
+    return 1;
+  }
+  if (O.Print)
+    R.M->print(std::cout);
+  if (R.Ran) {
+    std::fputs(R.Output.c_str(), stdout);
+    std::printf("main() = %lld\n", (long long)R.Main);
+    if (R.Feedback.EntriesMeasured > 0)
+      std::printf("noelle-parallelize: measured %u plan entr%s"
+                  " (%u below 0.8x of estimate)\n",
+                  R.Feedback.EntriesMeasured,
+                  R.Feedback.EntriesMeasured == 1 ? "y" : "ies",
+                  R.Feedback.Shortfalls);
+  }
+  // A forced sweep skips loops by design; a plan entry that does not
+  // apply is a failure.
+  if (!P.Technique)
+    for (const Decision &D : R.Decisions)
+      if (!D.Parallelized)
+        return 1;
+  return 0;
+}
+
+/// --trace=: writes the Chrome trace, then prints what it recorded and
+/// the time of each layer that ran, ending with the part of the
+/// pipeline's wall time that no layer covers.
+bool writeTrace(const std::string &Path, const tools::PipelineResult &R) {
+  if (!telemetry::writeFile(Path, telemetry::traceJson() + "\n")) {
+    std::fprintf(stderr, "noelle-parallelize: cannot write trace to '%s'\n",
+                 Path.c_str());
+    return false;
+  }
+  const telemetry::MetricsSnapshot S = telemetry::snapshotMetrics();
+  auto Count = [&](telemetry::Counter C) {
+    return static_cast<unsigned long long>(S.counter(C));
+  };
+  std::printf("noelle-parallelize: %zu span(s) -> %s\n",
+              telemetry::traceEventCount(), Path.c_str());
+  std::printf("  dispatches:           %llu static, %llu chunked "
+              "(%llu chunks)\n",
+              Count(telemetry::Counter::DispatchStatic),
+              Count(telemetry::Counter::DispatchChunked),
+              Count(telemetry::Counter::DispatchChunks));
+  std::printf("  pool tasks / steals:  %llu / %llu\n",
+              Count(telemetry::Counter::PoolTasksRun),
+              Count(telemetry::Counter::PoolSteals));
+  std::printf("  queue push / pop:     %llu / %llu\n",
+              Count(telemetry::Counter::QueuePush),
+              Count(telemetry::Counter::QueuePop));
+  if (const telemetry::HistSnapshot *H =
+          S.histogram(telemetry::Hist::SSWaitStallNs))
+    std::printf("  ss_wait stalls:       %llu (%llu ns total)\n",
+                (unsigned long long)H->Count, (unsigned long long)H->Sum);
+  for (const auto &En : R.Plan.Entries)
+    if (En.MeasuredMilli != 0)
+      std::printf("  %s loop@%llu:  est %.2fx, measured %.2fx\n",
+                  En.FunctionName.c_str(),
+                  (unsigned long long)En.HeaderInstID,
+                  static_cast<double>(En.SpeedupMilli) / 1000.0,
+                  static_cast<double>(En.MeasuredMilli) / 1000.0);
+  std::printf("  layer times of %.3f ms:\n", R.WallMs);
+  double Covered = 0;
+  for (const tools::LayerTime &T : R.Layers) {
+    std::printf("    %-22s %9.3f ms\n", tools::layerName(T.L), T.Ms);
+    Covered += T.Ms;
+  }
+  std::printf("    %-22s %9.3f ms\n", "(no layer)", R.WallMs - Covered);
+  return true;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -210,149 +257,18 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, O))
     return 2;
 
-  nir::Context Ctx;
-  auto M = tooldriver::loadInputModule("noelle-parallelize", Ctx, O.Input);
-  if (!M)
+  const tools::PipelineResult R = tools::runPipeline(O.Input, O.Pipeline);
+  const std::string &Err =
+      R.InputError.empty() ? R.PlanFileError : R.InputError;
+  if (!Err.empty()) {
+    std::fprintf(stderr, "noelle-parallelize: %s\n", Err.c_str());
     return 2;
-  if (O.Optimize)
-    opt::runPipeline(*M);
-
-  // Speculation (planner enumeration or a forced spec-doall sweep) needs
-  // a memory-dependence profile of this code. Collect and embed one
-  // before the snapshot unless the module carries a current one:
-  // embedding is hash-neutral, and the IDs it is keyed by are the same
-  // ones captureForCheck assigns.
-  bool WantSpec = O.Speculate || O.ForcedTechnique == "spec-doall";
-  MemDepProfile Embedded;
-  std::string NoProfile;
-  if (WantSpec && !MemDepProfile::fromModule(*M, Embedded, NoProfile))
-    profileMemDeps(*M).embed(*M);
-
-  // Snapshot before anything mutates code: the audit's ground truth,
-  // and the source of the deterministic IDs plans are keyed by.
-  verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
-
-  Noelle N(*M);
-
-  // Forced mode: the legacy per-tool sweep over every eligible loop.
-  if (!O.ForcedTechnique.empty()) {
-    TechniqueKind K;
-    techniqueFromName(O.ForcedTechnique, K);
-    auto T = createTechnique(K, N, O.Cores);
-    std::vector<Decision> Decisions = T->run();
-    printDecisions(Decisions);
-    if (O.Check) {
-      verify::CheckOptions CO;
-      CO.Speculative = WantSpec;
-      verify::CheckReport Rep = verify::checkModule(*M, Snap, CO);
-      if (!Rep.clean()) {
-        std::printf("%s", Rep.str().c_str());
-        return 1;
-      }
-    }
-    if (O.Print)
-      M->print(std::cout);
-    if (O.Run) {
-      nir::ExecutionEngine E(*M);
-      registerParallelRuntime(E);
-      const int64_t R = E.runMain();
-      std::fputs(E.getOutput().c_str(), stdout);
-      std::printf("main() = %lld\n", (long long)R);
-    }
-    if (!tooldriver::writeMetricsIfRequested("noelle-parallelize",
-                                             O.MetricsPath))
-      return 2;
-    return 0;
   }
-
-  planner::PlannerOptions PO;
-  PO.MaxWorkers = O.Cores;
-  PO.EnableNested = O.Nested;
-  PO.UseProfiles = O.Profile;
-  PO.EnableSpeculation = O.Speculate;
-  if (!O.OverheadsFile.empty()) {
-    std::string Err;
-    if (!planner::loadMeasuredOverheads(O.OverheadsFile, PO.Overheads,
-                                        Err)) {
-      std::fprintf(stderr, "noelle-parallelize: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  planner::Planner Planner(N, PO);
-
-  planner::ProgramPlan Plan;
-  if (!O.PlanFile.empty()) {
-    std::string Err;
-    if (!tooldriver::loadPlan(O.PlanFile, *M, Plan, Err)) {
-      std::fprintf(stderr, "noelle-parallelize: %s\n", Err.c_str());
-      return 2;
-    }
-  } else {
-    Plan = Planner.plan();
-  }
-
-  if (O.EmitPlan || O.PlanOnly)
-    std::fputs(Plan.serialize().c_str(), stdout);
-  if (O.SavePlan)
-    Plan.embed(*M);
-
-  if (O.Check) {
-    verify::CheckReport PlanRep = verify::checkPlan(*M, Plan);
-    if (!PlanRep.clean()) {
-      std::printf("%s", PlanRep.str().c_str());
-      return 1;
-    }
-  }
-  if (O.PlanOnly) {
-    if (O.Print)
-      M->print(std::cout);
-    if (!tooldriver::writeMetricsIfRequested("noelle-parallelize",
-                                             O.MetricsPath))
-      return 2;
-    return 0;
-  }
-
-  std::vector<Decision> Decisions = Planner.apply(Plan);
-  printDecisions(Decisions);
-  bool AnyEntryFailed = false;
-  for (const Decision &D : Decisions)
-    AnyEntryFailed |= !D.Parallelized;
-
-  if (O.Check) {
-    verify::CheckOptions CO;
-    CO.Speculative = WantSpec;
-    verify::CheckReport Rep = verify::checkModule(*M, Snap, CO);
-    if (!Rep.clean()) {
-      std::printf("%s", Rep.str().c_str());
-      return 1;
-    }
-  }
-
-  if (O.Print)
-    M->print(std::cout);
-  if (O.Run) {
-    nir::ExecutionEngine E(*M);
-    registerParallelRuntime(E);
-    const int64_t R = E.runMain();
-    std::fputs(E.getOutput().c_str(), stdout);
-    std::printf("main() = %lld\n", (long long)R);
-
-    // Close the loop: annotate the plan with the speedups the run
-    // actually delivered (PlanEntry::MeasuredMilli), and refresh the
-    // embedded copy so a saved plan records both numbers.
-    planner::FeedbackResult FB = planner::applyMeasuredSpeedups(
-        Plan, *M, E.getDispatchRecords());
-    if (FB.EntriesMeasured > 0) {
-      std::printf("noelle-parallelize: measured %u plan entr%s"
-                  " (%u below 0.8x of estimate)\n",
-                  FB.EntriesMeasured,
-                  FB.EntriesMeasured == 1 ? "y" : "ies", FB.Shortfalls);
-      if (O.SavePlan)
-        Plan.embed(*M);
-    }
-  }
+  const int Status = printResult(O, R);
+  if (!O.TracePath.empty() && !writeTrace(O.TracePath, R))
+    return 2;
   if (!tooldriver::writeMetricsIfRequested("noelle-parallelize",
                                            O.MetricsPath))
     return 2;
-  return AnyEntryFailed ? 1 : 0;
+  return Status;
 }

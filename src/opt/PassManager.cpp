@@ -50,7 +50,7 @@ PipelineStats noelle::opt::runPipeline(nir::Module &M,
   RunPass("gvn", Opts.EnableGVN, [&] { runGVN(N, S); });
   RunPass("dce", Opts.EnableDCE, [&] { runDCE(M, S); });
   RunPass("licm", Opts.EnableLICM, [&] { runLICM(N, S); });
-  RunPass("unroll", Opts.EnableUnroll, [&] { runUnroll(N, Opts, S); });
+  RunPass("unroll", Opts.EnableUnroll, [&] { runUnroll(N, S); });
   // Unrolling exposes duplicated address math; clean it before packing.
   RunPass("gvn2", Opts.EnableGVN && Opts.EnableUnroll, [&] { runGVN(N, S); });
   RunPass("dce2", Opts.EnableDCE && Opts.EnableUnroll, [&] { runDCE(M, S); });

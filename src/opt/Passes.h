@@ -33,9 +33,6 @@ struct PipelineOptions {
   bool EnableLICM = true;
   bool EnableUnroll = true;
   bool EnableSLP = true;
-  /// Preferred unroll factor; loops whose trip count the factor does not
-  /// divide fall back to 2, then stay rolled.
-  unsigned UnrollFactor = 4;
 };
 
 /// Counters the passes accumulate, plus the per-pass abstraction
@@ -71,9 +68,9 @@ uint64_t runDCE(nir::Module &M, PipelineStats &S);
 uint64_t runLICM(Noelle &N, PipelineStats &S);
 
 /// Partially unrolls innermost constant-trip-count loops whose governing
-/// induction variable the IV manager proves affine. Returns loops
-/// unrolled.
-uint64_t runUnroll(Noelle &N, const PipelineOptions &Opts, PipelineStats &S);
+/// induction variable the IV manager proves affine, by 4 or, where 4
+/// does not divide the trip count, by 2. Returns loops unrolled.
+uint64_t runUnroll(Noelle &N, PipelineStats &S);
 
 /// Superword-level parallelism: packs runs of adjacent scalar stores and
 /// their isomorphic operand trees into NIR vector instructions; legality

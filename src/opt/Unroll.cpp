@@ -36,6 +36,10 @@ namespace {
 /// Cap on body growth per unrolled loop (cloned instructions).
 constexpr unsigned UnrollGrowthBudget = 400;
 
+/// Preferred unroll factor; loops whose trip count it does not divide
+/// fall back to 2, then stay rolled.
+constexpr unsigned UnrollFactor = 4;
+
 /// The loop shapes we unroll: header = phis + cmp + condbr, body = a
 /// straight-line chain of single-predecessor blocks ending at the latch.
 struct LoopShape {
@@ -260,8 +264,7 @@ void unrollBy(LoopShape &Sh, unsigned F) {
 
 } // namespace
 
-uint64_t noelle::opt::runUnroll(Noelle &N, const PipelineOptions &Opts,
-                                PipelineStats &S) {
+uint64_t noelle::opt::runUnroll(Noelle &N, PipelineStats &S) {
   N.noteRequest(Abstraction::IV);
   N.noteRequest(Abstraction::LS);
   N.noteRequest(Abstraction::FR);
@@ -317,7 +320,7 @@ uint64_t noelle::opt::runUnroll(Noelle &N, const PipelineOptions &Opts,
       continue;
 
     unsigned F = 0;
-    for (unsigned Cand : {Opts.UnrollFactor, 2u}) {
+    for (unsigned Cand : {UnrollFactor, 2u}) {
       if (Cand >= 2 && Trips % Cand == 0 && Trips >= Cand &&
           Sh.BodyInsts * (Cand - 1) <= UnrollGrowthBudget) {
         F = Cand;

@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace noelle;
 using nir::BasicBlock;
@@ -317,18 +315,6 @@ bool DSWP::analyze(LoopContent &LC, unsigned Workers, PipelineAnalysis &A,
     }
 
   A.NumStages = NumStages;
-
-  if (std::getenv("DSWP_DEBUG")) {
-    std::fprintf(stderr, "DSWP: %u stages, %zu queues\n", NumStages,
-                 A.Queues.size());
-    for (auto &[I, S] : A.StageOf)
-      std::fprintf(stderr, "  stage %u: %s (%s)\n", S,
-                   I->getOpcodeName().c_str(), I->getName().c_str());
-    for (auto &Q : A.Queues)
-      std::fprintf(stderr, "  queue %s: %u -> %u\n",
-                   Q.Def->getOpcodeName().c_str(), Q.FromStage, Q.ToStage);
-  }
-
   return true;
 }
 

@@ -14,7 +14,6 @@
 /// Options:
 ///   --no-inline --no-gvn --no-dce --no-licm --no-unroll --no-slp
 ///                         disable one pass
-///   --unroll-factor=N     preferred unroll factor (4)
 ///   --run                 execute main() after optimizing; print the
 ///                         program output and return value
 ///   --stats               print pass statistics and per-pass
@@ -37,7 +36,6 @@
 #include "tools/Pipeline.h"
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -62,9 +60,6 @@ int main(int argc, char **argv) {
       Opts.EnableUnroll = false;
     else if (A == "--no-slp")
       Opts.EnableSLP = false;
-    else if (A.rfind("--unroll-factor=", 0) == 0)
-      Opts.UnrollFactor =
-          static_cast<unsigned>(std::atoi(A.c_str() + std::strlen("--unroll-factor=")));
     else if (A == "--run")
       Run = true;
     else if (A == "--stats")

@@ -5,10 +5,14 @@
 #include "ir/IDs.h"
 #include "ir/Instructions.h"
 #include "support/PageMap.h"
+#include "support/PointerMap.h"
 
+#include <algorithm>
 #include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <deque>
+#include <unordered_set>
 
 using namespace noelle;
 using nir::BasicBlock;
@@ -116,8 +120,7 @@ bool MemDepProfile::decode(const nir::Artifact &A, MemDepProfile &Out,
       return false;
     }
     if (Word == "loop") {
-      Out.Loops[D.HeaderID].Invocations += Invocations;
-      Out.Loops[D.HeaderID].Iterations += Iterations;
+      Out.recordLoop(D.HeaderID, Invocations, Iterations);
       return true;
     }
     if (!SawSrc || !SawDst || !SawKind) {
@@ -155,9 +158,27 @@ bool MemDepProfile::fromModule(const nir::Module &M, MemDepProfile &Out,
 struct MemDepProfiler::Impl {
   /// One natural loop of the profiled module.
   struct LoopRec {
-    nir::LoopStructure *L = nullptr;
-    const Function *F = nullptr;
+    const LoopRec *Parent = nullptr; ///< enclosing loop (same function)
     uint64_t HeaderID = 0;
+    /// Counts of this run, added to the profile by takeProfile.
+    uint64_t Invocations = 0, Iterations = 0;
+  };
+
+  /// One block of the profiled module, at its position in the base
+  /// Profiler's block table (module order).
+  struct BlockRec {
+    const Function *F = nullptr;
+    LoopRec *Heads = nullptr;           ///< the loop this block heads
+    const LoopRec *Innermost = nullptr; ///< innermost loop containing it
+
+    /// True when \p L contains this block: natural loops nest, so the
+    /// loops containing a block are its innermost loop's parent chain.
+    bool within(const LoopRec *L) const {
+      for (const LoopRec *R = Innermost; R; R = R->Parent)
+        if (R == L)
+          return true;
+      return false;
+    }
   };
 
   /// A dynamic context frame: either an active loop invocation or a call
@@ -166,7 +187,7 @@ struct MemDepProfiler::Impl {
   struct Frame {
     enum Tag : uint8_t { CallMarker, LoopActivation } T = CallMarker;
     const Function *Callee = nullptr; ///< CallMarker
-    LoopRec *L = nullptr;             ///< LoopActivation
+    const LoopRec *L = nullptr;       ///< LoopActivation
     uint64_t InvocStart = 0;          ///< clock at loop entry
     uint64_t IterStart = 0;           ///< clock at current iteration start
   };
@@ -177,89 +198,111 @@ struct MemDepProfiler::Impl {
     uint64_t RId = 0, RT = 0; ///< last reader and its clock
   };
 
-  /// Shadow memory in pages of ByteState, one page per 4 KiB of address
-  /// space.
+  /// Shadow state of one aligned 8-byte word: one ByteState that stands
+  /// for all eight bytes until an access covers part of the word, then
+  /// one per byte for good (the word is split). Almost every access is a
+  /// whole aligned word, so it reads and writes one state.
+  struct WordState {
+    ByteState Whole;    ///< every byte's state while not split
+    uint32_t Split = 0; ///< 0, or 1 + the word's index in SplitWords
+  };
+  using SplitWord = std::array<ByteState, 8>;
+
+  /// Shadow memory in pages of WordState, one page per 4 KiB of address
+  /// space, behind a direct-mapped cache of recently used pages: loops
+  /// walk a few arrays at once, which thrashes the PageMap's own
+  /// one-page cache.
   static constexpr unsigned PageBits = 12;
   using ShadowPages =
-      nir::PageMap<std::array<ByteState, size_t(1) << PageBits>, PageBits>;
+      nir::PageMap<std::array<WordState, size_t(1) << (PageBits - 3)>,
+                   PageBits>;
+  struct CachedPage {
+    uint64_t PageNo = ~uint64_t(0);
+    WordState *Words = nullptr;
+  };
+  static constexpr unsigned PageCacheSize = 16;
+
+  struct DepHash {
+    size_t operator()(const ManifestedDep &D) const {
+      uint64_t H = D.HeaderID * 0x9E3779B97F4A7C15ull;
+      H = (H ^ D.SrcID) * 0xC2B2AE3D27D4EB4Full;
+      H = (H ^ D.DstID) * 0x165667B19E3779F9ull;
+      return size_t(H ^ (H >> 29) ^ D.K);
+    }
+  };
 
   MemDepProfile Profile;
+  /// Every dependence recorded so far, behind a direct-mapped cache of
+  /// recent ones: a loop re-manifests the same few dependences every
+  /// iteration, and a compare is cheaper than a probe, which is cheaper
+  /// than the profile's ordered insert.
+  std::unordered_set<ManifestedDep, DepHash> Recorded;
+  static constexpr unsigned RecentSize = 64;
+  std::array<ManifestedDep, RecentSize> Recent{}; ///< HeaderID 0 = empty
   std::vector<Frame> Stack;
   ShadowPages Shadow;
+  std::array<CachedPage, PageCacheSize> PageCache;
+  std::vector<SplitWord> SplitWords;
   uint64_t Now = 0; ///< memory-access clock (monotone)
 
   // Static module indexes, built once at construction.
-  std::vector<std::unique_ptr<nir::DominatorTree>> DTs;
-  std::vector<std::unique_ptr<nir::LoopInfo>> LIs;
-  std::vector<std::unique_ptr<LoopRec>> LoopStorage;
-  std::unordered_map<const BasicBlock *, const Function *> FnOf;
-  std::unordered_map<const BasicBlock *, LoopRec *> HeaderOf;
-  std::unordered_map<const Instruction *, uint64_t> IdCache;
+  std::deque<LoopRec> Loops;
+  std::vector<BlockRec> Blocks;
+  nir::PointerMap<uint64_t> Ids; ///< instruction -> deterministic ID
 
   explicit Impl(Module &M) {
     for (const auto &FPtr : M.getFunctions()) {
       Function *F = FPtr.get();
       if (F->isDeclaration())
         continue;
-      for (const auto &BB : F->getBlocks())
-        FnOf[BB.get()] = F;
-      auto DT = std::make_unique<nir::DominatorTree>(*F);
-      auto LI = std::make_unique<nir::LoopInfo>(*F, *DT);
-      for (nir::LoopStructure *L : LI->getLoopsInPreorder()) {
-        auto Rec = std::make_unique<LoopRec>();
-        Rec->L = L;
-        Rec->F = F;
-        Rec->HeaderID = L->getHeaderID().value_or(0);
-        HeaderOf[L->getHeader()] = Rec.get();
-        LoopStorage.push_back(std::move(Rec));
+      nir::DominatorTree DT(*F);
+      nir::LoopInfo LI(*F, DT);
+      std::unordered_map<const nir::LoopStructure *, LoopRec *> RecOf;
+      for (nir::LoopStructure *L : LI.getLoopsInPreorder()) { // outer first
+        LoopRec &Rec = Loops.emplace_back();
+        Rec.Parent = L->getParentLoop() ? RecOf.at(L->getParentLoop())
+                                        : nullptr;
+        Rec.HeaderID = L->getHeaderID().value_or(0);
+        RecOf[L] = &Rec;
       }
-      DTs.push_back(std::move(DT));
-      LIs.push_back(std::move(LI));
+      for (const auto &BB : F->getBlocks()) {
+        BlockRec &B = Blocks.emplace_back();
+        B.F = F;
+        // A header's innermost loop is the one it heads.
+        const nir::LoopStructure *In = LI.getLoopFor(BB.get());
+        B.Innermost = In ? RecOf.at(In) : nullptr;
+        B.Heads = In && In->getHeader() == BB.get() ? RecOf.at(In) : nullptr;
+        for (const auto &I : BB->getInstList())
+          Ids.insert(I.get(), nir::instIDOf(I.get()).value_or(0));
+      }
     }
   }
 
-  uint64_t idOf(const Instruction *I) {
-    auto It = IdCache.find(I);
-    if (It != IdCache.end())
-      return It->second;
-    uint64_t Id = nir::instIDOf(I).value_or(0);
-    IdCache.emplace(I, Id);
-    return Id;
+  uint64_t idOf(const Instruction *I) const {
+    if (!I)
+      return 0;
+    const uint64_t *Id = Ids.find(I);
+    return Id ? *Id : nir::instIDOf(I).value_or(0);
   }
 
-  /// Unwinds frames invalidated by control arriving at a block of \p F:
-  /// loop activations whose loop no longer contains the block, and call
-  /// markers of calls that have returned.
-  void unwind(const BasicBlock *BB, const Function *F) {
+  /// Unwinds frames invalidated by control arriving at block \p B: loop
+  /// activations whose loop does not contain it (a loop of a function
+  /// we returned from never does), and call markers of calls that have
+  /// returned.
+  void unwind(const BlockRec &B) {
     while (!Stack.empty()) {
-      Frame &Top = Stack.back();
-      if (Top.T == Frame::CallMarker) {
-        if (Top.Callee == F)
-          break; // still inside this call
-        Stack.pop_back();
-        continue;
-      }
-      if (Top.L->F == F) {
-        if (Top.L->L->contains(const_cast<BasicBlock *>(BB)))
-          break; // still iterating this loop
-        Stack.pop_back();
-        continue;
-      }
-      Stack.pop_back(); // loop of a function we returned from
+      const Frame &Top = Stack.back();
+      if (Top.T == Frame::CallMarker ? Top.Callee == B.F : B.within(Top.L))
+        break; // still inside this call, or still iterating this loop
+      Stack.pop_back();
     }
   }
 
-  void onBlock(const BasicBlock *BB) {
-    auto FIt = FnOf.find(BB);
-    if (FIt == FnOf.end())
+  void onBlock(const BlockRec &B) {
+    unwind(B);
+    LoopRec *L = B.Heads;
+    if (!L)
       return;
-    const Function *F = FIt->second;
-    unwind(BB, F);
-
-    auto HIt = HeaderOf.find(BB);
-    if (HIt == HeaderOf.end())
-      return;
-    LoopRec *L = HIt->second;
     if (!Stack.empty() && Stack.back().T == Frame::LoopActivation &&
         Stack.back().L == L) {
       // Back edge: a new iteration of the active invocation. The clock
@@ -267,7 +310,7 @@ struct MemDepProfiler::Impl {
       // using Now would disown the previous iteration's final access
       // (recordCarried's SrcT < IterStart must admit it as a source).
       Stack.back().IterStart = Now + 1;
-      Profile.recordLoopIteration(L->HeaderID);
+      ++L->Iterations;
       return;
     }
     Frame Fr;
@@ -279,7 +322,7 @@ struct MemDepProfiler::Impl {
     Fr.InvocStart = Now + 1;
     Fr.IterStart = Now + 1;
     Stack.push_back(Fr);
-    Profile.recordLoopEntry(L->HeaderID);
+    ++L->Invocations;
   }
 
   void onCall(const Function *Callee) {
@@ -306,48 +349,104 @@ struct MemDepProfiler::Impl {
         D.SrcID = SrcId;
         D.DstID = DstId;
         D.K = K;
-        Profile.recordDep(D);
+        ManifestedDep &Slot = Recent[DepHash()(D) % RecentSize];
+        if (Slot == D)
+          continue;
+        Slot = D;
+        if (Recorded.insert(D).second)
+          Profile.recordDep(D);
       }
     }
   }
 
-  ByteState &shadow(uint64_t Addr) {
-    return Shadow.page(Addr)[ShadowPages::offset(Addr)];
+  WordState &word(uint64_t Addr) {
+    const uint64_t PageNo = Addr >> PageBits;
+    CachedPage &C = PageCache[PageNo % PageCacheSize];
+    if (C.PageNo != PageNo) {
+      C.PageNo = PageNo;
+      C.Words = Shadow.page(Addr).data();
+    }
+    return C.Words[ShadowPages::offset(Addr) >> 3];
+  }
+
+  /// Calls \p Visit on the shadow states of [Addr, Addr + Bytes): once
+  /// per word the access covers whole while the word is not split, and
+  /// once per byte otherwise (splitting the word first).
+  template <typename VisitFn>
+  void forEachState(uint64_t Addr, unsigned Bytes, VisitFn Visit) {
+    const uint64_t End = Addr + Bytes;
+    while (Addr != End) {
+      WordState &W = word(Addr);
+      const unsigned Lo = Addr & 7;
+      const unsigned Hi =
+          static_cast<unsigned>(std::min<uint64_t>(8, End - (Addr & ~7ull)));
+      if (!W.Split && Lo == 0 && Hi == 8) {
+        Visit(W.Whole);
+      } else {
+        if (!W.Split) {
+          SplitWords.emplace_back();
+          SplitWords.back().fill(W.Whole);
+          W.Split = static_cast<uint32_t>(SplitWords.size());
+        }
+        SplitWord &Bs = SplitWords[W.Split - 1];
+        for (unsigned B = Lo; B != Hi; ++B)
+          Visit(Bs[B]);
+      }
+      Addr += Hi - Lo;
+    }
+  }
+
+  // The checks below run once per run of bytes whose earlier access
+  // agrees (a clock stamps one access, so equal clocks mean one access):
+  // once per access when its bytes were last touched together, and once
+  // per word for a whole word that is not split. recordCarried depends
+  // only on the earlier access and the stack, so the recorded set is the
+  // one a check per byte would record.
+
+  /// True when clock \p T starts a new run after \p Last, the clock of
+  /// the run before it, and names an access (0 = never touched).
+  static bool newRun(uint64_t T, uint64_t &Last) {
+    if (T == Last)
+      return false;
+    Last = T;
+    return T != 0;
   }
 
   void onLoad(const Instruction *I, uint64_t Addr, unsigned Bytes) {
     ++Now;
-    const uint64_t Id = I ? idOf(I) : 0;
-    for (unsigned B = 0; B != Bytes; ++B) {
-      ByteState &S = shadow(Addr + B);
-      if (S.WT)
+    const uint64_t Id = idOf(I);
+    uint64_t LastWT = 0;
+    forEachState(Addr, Bytes, [&](ByteState &S) {
+      if (newRun(S.WT, LastWT))
         recordCarried(S.WId, S.WT, Id, ManifestedDep::RAW);
       S.RId = Id;
       S.RT = Now;
-    }
+    });
   }
 
   void onStore(const Instruction *I, uint64_t Addr, unsigned Bytes) {
     ++Now;
-    const uint64_t Id = I ? idOf(I) : 0;
-    for (unsigned B = 0; B != Bytes; ++B) {
-      ByteState &S = shadow(Addr + B);
-      if (S.RT)
+    const uint64_t Id = idOf(I);
+    uint64_t LastRT = 0, LastWT = 0;
+    forEachState(Addr, Bytes, [&](ByteState &S) {
+      if (newRun(S.RT, LastRT))
         recordCarried(S.RId, S.RT, Id, ManifestedDep::WAR);
-      if (S.WT)
+      if (newRun(S.WT, LastWT))
         recordCarried(S.WId, S.WT, Id, ManifestedDep::WAW);
       S.WId = Id;
       S.WT = Now;
-    }
+    });
   }
 };
 
-MemDepProfiler::MemDepProfiler(Module &M) : P(std::make_unique<Impl>(M)) {}
+MemDepProfiler::MemDepProfiler(Module &M)
+    : Profiler(M), P(std::make_unique<Impl>(M)) {}
 MemDepProfiler::~MemDepProfiler() = default;
 
 void MemDepProfiler::onBlockExecuted(const BasicBlock *BB) {
-  Profiler::onBlockExecuted(BB);
-  P->onBlock(BB);
+  const uint32_t Idx = countBlock(BB);
+  if (Idx != NoBlock)
+    P->onBlock(P->Blocks[Idx]);
 }
 void MemDepProfiler::onCallExecuted(const nir::CallInst *Call,
                                     const Function *Callee) {
@@ -364,6 +463,11 @@ void MemDepProfiler::onStoreExecuted(const Instruction *I, uint64_t Addr,
 }
 
 MemDepProfile MemDepProfiler::takeProfile() {
+  for (Impl::LoopRec &L : P->Loops)
+    if (L.Invocations) {
+      P->Profile.recordLoop(L.HeaderID, L.Invocations, L.Iterations);
+      L.Invocations = L.Iterations = 0;
+    }
   return std::move(P->Profile);
 }
 

@@ -117,9 +117,13 @@ public:
   static bool fromModule(const nir::Module &M, MemDepProfile &Out,
                          std::string &Err);
 
-  void recordLoopEntry(uint64_t HeaderID) { ++Loops[HeaderID].Invocations; }
-  void recordLoopIteration(uint64_t HeaderID) {
-    ++Loops[HeaderID].Iterations;
+  /// Adds \p Invocations entries and \p Iterations back edges of loop
+  /// \p HeaderID.
+  void recordLoop(uint64_t HeaderID, uint64_t Invocations,
+                  uint64_t Iterations) {
+    LoopStats &S = Loops[HeaderID];
+    S.Invocations += Invocations;
+    S.Iterations += Iterations;
   }
   void recordDep(const ManifestedDep &D) {
     if (Deps.insert(D).second)
@@ -149,9 +153,13 @@ private:
 /// The observer. A Profiler whose block, branch and call events also
 /// feed the block profile through the base class, so one observed run
 /// yields both profiles. On top, it installs byte-granular shadow memory
-/// (last reader and writer with access timestamps) and a dynamic
-/// loop-activation stack maintained from block events, so each access
-/// can be tested against the iteration windows of every active loop.
+/// (last reader and writer with access timestamps, one state per 8-byte
+/// word until the word's bytes diverge) and a dynamic loop-activation
+/// stack maintained from block events, so each access can be tested
+/// against the iteration windows of every active loop. An access makes
+/// one dependence check per run of its bytes that one earlier access
+/// last touched, not one per byte, and records the same dependences a
+/// check per byte would.
 /// Single-threaded by design: profiling runs happen before
 /// parallelization.
 class MemDepProfiler : public Profiler {

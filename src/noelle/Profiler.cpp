@@ -12,40 +12,62 @@ using nir::Instruction;
 // Profiler (observer)
 //===----------------------------------------------------------------------===//
 
-void Profiler::onBlockExecuted(const BasicBlock *BB) {
-  if (BB != LastBlock) {
-    LastBlock = BB;
-    LastBlockCount = &Data.BlockCounts[BB];
-  }
-  *LastBlockCount += 1;
-  Data.TotalInstructions += BB->size();
+Profiler::Profiler(const Module &M) {
+  for (const auto &F : M.getFunctions())
+    for (const auto &BB : F->getBlocks()) {
+      BlockIndex.insert(BB.get(), static_cast<uint32_t>(Blocks.size()));
+      BlockSlot S;
+      S.BB = BB.get();
+      S.Size = BB->size();
+      Blocks.push_back(S);
+    }
 }
 
-void Profiler::onBranchExecuted(const BranchInst *Br, unsigned Taken) {
-  if (Br != LastBranch) {
-    LastBranch = Br;
-    LastBranchCounts = &Data.BranchCounts[Br];
+uint32_t Profiler::countBlock(const BasicBlock *BB) {
+  if (BB != LastBlock) {
+    LastBlock = BB;
+    LastIdx = indexOf(BB);
   }
-  if (Taken == 0)
-    ++LastBranchCounts->first;
-  else
-    ++LastBranchCounts->second;
+  if (LastIdx != NoBlock) {
+    BlockSlot &S = Blocks[LastIdx];
+    ++S.Count;
+    TotalInstructions += S.Size;
+  }
+  return LastIdx;
+}
+
+void Profiler::onBlockExecuted(const BasicBlock *BB) { countBlock(BB); }
+
+void Profiler::onBranchExecuted(const BranchInst *Br, unsigned Taken) {
+  const BasicBlock *BB = Br->getParent();
+  const uint32_t Idx = BB == LastBlock ? LastIdx : indexOf(BB);
+  if (Idx != NoBlock)
+    ++Blocks[Idx].Taken[Taken == 0 ? 0 : 1];
 }
 
 void Profiler::onCallExecuted(const nir::CallInst *, const Function *Callee) {
-  Data.FnInvocations[Callee] += 1;
+  FnInvocations[Callee] += 1;
 }
 
 ProfileData Profiler::takeData() {
-  LastBlock = nullptr;
-  LastBlockCount = nullptr;
-  LastBranch = nullptr;
-  LastBranchCounts = nullptr;
-  return std::move(Data);
+  ProfileData Data;
+  for (BlockSlot &S : Blocks) {
+    if (S.Count)
+      Data.BlockCounts[S.BB] = S.Count;
+    if (S.Taken[0] || S.Taken[1])
+      Data.BranchCounts[nir::cast<BranchInst>(S.BB->getTerminator())] = {
+          S.Taken[0], S.Taken[1]};
+    S.Count = S.Taken[0] = S.Taken[1] = 0;
+  }
+  Data.FnInvocations = std::move(FnInvocations);
+  FnInvocations.clear();
+  Data.TotalInstructions = TotalInstructions;
+  TotalInstructions = 0;
+  return Data;
 }
 
 ProfileData Profiler::profileModule(Module &M) {
-  Profiler P;
+  Profiler P(M);
   return profileModule(M, P);
 }
 

@@ -14,9 +14,11 @@
 #include "analysis/LoopInfo.h"
 #include "interp/Interpreter.h"
 #include "ir/Module.h"
+#include "support/PointerMap.h"
 
 #include <map>
 #include <memory>
+#include <vector>
 
 namespace noelle {
 
@@ -78,6 +80,10 @@ private:
 /// profiling runs (profile collection happens before parallelization).
 class Profiler : public nir::ExecutionObserver {
 public:
+  /// Counts the blocks of \p M, the module the observed engine runs.
+  /// Events for blocks of any other module are not counted.
+  explicit Profiler(const Module &M);
+
   void onBlockExecuted(const BasicBlock *BB) override;
   void onBranchExecuted(const BranchInst *Br, unsigned Taken) override;
   void onCallExecuted(const nir::CallInst *Call,
@@ -86,21 +92,43 @@ public:
   /// Runs @main of \p M under profiling and returns the collected data.
   static ProfileData profileModule(Module &M);
 
-  /// As above, observing with \p P: a fresh Profiler, or a subclass that
-  /// records more in the same run (MemDepProfiler).
+  /// As above, observing with \p P: a fresh Profiler of \p M, or a
+  /// subclass that records more in the same run (MemDepProfiler).
   static ProfileData profileModule(Module &M, Profiler &P);
 
   ProfileData takeData();
 
+protected:
+  /// No block: \p BB is not a block of the profiled module.
+  static constexpr uint32_t NoBlock = ~uint32_t(0);
+
+  /// Counts one execution of \p BB and returns its position in module
+  /// order (functions in order, then their blocks), or NoBlock.
+  uint32_t countBlock(const BasicBlock *BB);
+
 private:
-  ProfileData Data;
-  /// Last-entry caches: dynamic block/branch streams are dominated by
-  /// tight loops re-hitting the same few keys, so one pointer compare
-  /// usually replaces the map walk.
+  /// The counters of one block, in module order.
+  struct BlockSlot {
+    const BasicBlock *BB = nullptr;
+    uint64_t Size = 0; ///< instructions of the block
+    uint64_t Count = 0;
+    uint64_t Taken[2] = {0, 0}; ///< per successor of its branch
+  };
+
+  uint32_t indexOf(const BasicBlock *BB) const {
+    const uint32_t *Idx = BlockIndex.find(BB);
+    return Idx ? *Idx : NoBlock;
+  }
+
+  std::vector<BlockSlot> Blocks;
+  nir::PointerMap<uint32_t> BlockIndex;
+  std::map<const Function *, uint64_t> FnInvocations;
+  uint64_t TotalInstructions = 0;
+  /// Last-block cache: dynamic block streams are dominated by tight
+  /// loops re-hitting the same block, so one pointer compare usually
+  /// replaces the table lookup.
   const BasicBlock *LastBlock = nullptr;
-  uint64_t *LastBlockCount = nullptr;
-  const BranchInst *LastBranch = nullptr;
-  std::pair<uint64_t, uint64_t> *LastBranchCounts = nullptr;
+  uint32_t LastIdx = NoBlock;
 };
 
 } // namespace noelle

@@ -317,7 +317,7 @@ TEST(InterpObserverTest, ProfileInvariantUnderDecodeOpt) {
     ExecutionEngine::Options O;
     O.DecodeOpt = Opt;
     ExecutionEngine E(*M, O);
-    Profiler P;
+    Profiler P(*M);
     E.setObserver(&P);
     E.runMain();
     return P.takeData();

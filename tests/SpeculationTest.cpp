@@ -17,6 +17,8 @@
 #include "frontend/MiniC.h"
 #include "ir/IDs.h"
 #include "ir/IRBuilder.h"
+#include "ir/Instructions.h"
+#include "ir/Parser.h"
 #include "noelle/MemDepProfiler.h"
 #include "noelle/Noelle.h"
 #include "planner/Planner.h"
@@ -31,7 +33,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace noelle;
@@ -163,6 +167,141 @@ TEST(MemDepProfilerTest, OneRunEmbedsTheBlockProfile) {
     }
   }
   telemetry::setMode(telemetry::Mode::Off);
+}
+
+/// Byte-granular cases the profiler's shadow memory must keep: each
+/// module has one loop, and the expected manifested set is written out
+/// by hand in terms of the loop's memory accesses (A[k] is the k-th
+/// load or store of @main, in program order).
+struct ByteCase {
+  const char *Name;
+  const char *IR;
+  /// (src access, dst access, kind) of each expected carried dependence.
+  std::vector<std::tuple<unsigned, unsigned, ManifestedDep::Kind>> Deps;
+};
+
+std::vector<ByteCase> byteCases() {
+  using K = ManifestedDep;
+  return {
+      // A[1] stores a[0] whole and A[2] stores byte 3 of it, so the next
+      // iteration's whole load A[0] has two sources, and so has A[1]'s
+      // overwrite. Within an iteration A[1] and A[2] follow A[0].
+      {"SubWordStoreThenWholeLoad", R"(
+global @a : [2 x i64]
+func @main() -> i64 {
+entry:
+  br label loop
+loop:
+  %i = phi i64 [0, entry], [%i.next, loop]
+  %p = gep @a, i64 0, scale 8
+  %q = gep @a, i64 3, scale 1
+  %v = load i64, %p
+  %w = add i64 %v, 1
+  store i64 %w, %p
+  %b = trunc i64 %i to i8
+  store i8 %b, %q
+  %i.next = add i64 %i, 1
+  %c = cmp slt i64 %i.next, 4
+  br %c, label loop, label exit
+exit:
+  ret i64 0
+}
+)",
+       {{1, 0, K::RAW}, {2, 0, K::RAW}, {1, 1, K::WAW}, {2, 1, K::WAW}}},
+      // char data: iteration i reads c[i-1] (A[0]) and writes c[i]
+      // (A[1]), eight to a word. Only the byte-to-byte recurrence is
+      // carried; a word-granular shadow would add WAW A[1]->A[1].
+      {"CharRecurrence", R"(
+global @c : [16 x i8]
+func @main() -> i64 {
+entry:
+  br label loop
+loop:
+  %i = phi i64 [1, entry], [%i.next, loop]
+  %im1 = sub i64 %i, 1
+  %p = gep @c, i64 %im1, scale 1
+  %q = gep @c, i64 %i, scale 1
+  %v = load i8, %p
+  %w = add i8 %v, 1
+  store i8 %w, %q
+  %i.next = add i64 %i, 1
+  %cond = cmp slt i64 %i.next, 16
+  br %cond, label loop, label exit
+exit:
+  ret i64 0
+}
+)",
+       {{1, 0, K::RAW}}},
+      // SLP vectors: A[0] loads v[0..3] and A[1] stores v[2..5] (Scl = 4
+      // lanes of 8 bytes), then A[2] stores v[5]. Across the iteration
+      // boundary the load reads lanes 2-3 of the previous vector store,
+      // and the vector store overwrites itself and, in its last lane,
+      // the scalar store.
+      {"VectorLanesAcrossIterations", R"(
+global @v : [8 x i64]
+func @main() -> i64 {
+entry:
+  br label loop
+loop:
+  %i = phi i64 [0, entry], [%i.next, loop]
+  %p0 = gep @v, i64 0, scale 8
+  %p2 = gep @v, i64 2, scale 8
+  %p5 = gep @v, i64 5, scale 8
+  %x = vload v4i64, %p0
+  %one = vpack v4i64 1, 1, 1, 1
+  %y = vadd v4i64 %x, %one
+  vstore v4i64 %y, %p2
+  store i64 %i, %p5
+  %i.next = add i64 %i, 1
+  %cond = cmp slt i64 %i.next, 4
+  br %cond, label loop, label exit
+exit:
+  ret i64 0
+}
+)",
+       {{1, 0, K::RAW}, {1, 1, K::WAW}, {2, 1, K::WAW}}},
+  };
+}
+
+std::string depText(const ManifestedDep &D) {
+  static const char *Kinds[] = {"raw", "war", "waw"};
+  return std::to_string(D.SrcID) + "->" + std::to_string(D.DstID) + " " +
+         Kinds[D.K];
+}
+
+TEST(MemDepProfilerTest, KeepsByteGranularDependences) {
+  for (const ByteCase &C : byteCases()) {
+    SCOPED_TRACE(C.Name);
+    Context Ctx;
+    auto M = nir::parseModuleOrDie(Ctx, C.IR);
+    nir::assignDeterministicIDs(*M);
+    std::vector<uint64_t> Access;
+    for (const auto &BB : M->getFunction("main")->getBlocks())
+      for (const auto &I : BB->getInstList())
+        if (nir::isa<nir::LoadInst>(I.get()) ||
+            nir::isa<nir::StoreInst>(I.get()) ||
+            nir::isa<nir::VLoadInst>(I.get()) ||
+            nir::isa<nir::VStoreInst>(I.get()))
+          Access.push_back(*nir::instIDOf(I.get()));
+    const std::vector<uint64_t> Headers = sortedLoopHeaderIDs(*M);
+    ASSERT_EQ(Headers.size(), 1u);
+
+    const MemDepProfile P = profileMemDeps(*M);
+    EXPECT_EQ(P.loopInvocations(Headers[0]), 1u);
+    std::set<std::string> Want, Got;
+    for (const auto &[Src, Dst, Kind] : C.Deps) {
+      ManifestedDep D;
+      D.SrcID = Access.at(Src);
+      D.DstID = Access.at(Dst);
+      D.K = Kind;
+      Want.insert(depText(D));
+    }
+    for (const ManifestedDep &D : P.deps()) {
+      EXPECT_EQ(D.HeaderID, Headers[0]);
+      Got.insert(depText(D));
+    }
+    EXPECT_EQ(Got, Want);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ int runOne(const bench::Benchmark &B, const std::string &Which) {
   }
   if (Parallelized == 0) {
     std::printf("race-tsan: %s/%s: nothing parallelized, skipping\n",
-                B.Name, Which.c_str());
+                B.Name.c_str(), Which.c_str());
     return 0;
   }
 
@@ -80,7 +80,7 @@ int runOne(const bench::Benchmark &B, const std::string &Which) {
   verify::CheckReport Rep = verify::checkModule(*M, Snap, CO);
   if (Rep.count(verify::DiagKind::DataRace) != 0) {
     std::fprintf(stderr, "race-tsan: %s/%s: statically racy:\n%s",
-                 B.Name, Which.c_str(), Rep.str().c_str());
+                 B.Name.c_str(), Which.c_str(), Rep.str().c_str());
     return 1;
   }
 
@@ -91,12 +91,12 @@ int runOne(const bench::Benchmark &B, const std::string &Which) {
     std::fprintf(stderr,
                  "race-tsan: %s/%s: parallel result %lld != sequential "
                  "%lld\n",
-                 B.Name, Which.c_str(), (long long)Got,
+                 B.Name.c_str(), Which.c_str(), (long long)Got,
                  (long long)Expected);
     return 1;
   }
-  std::printf("race-tsan: %s/%s: ok (%u loops)\n", B.Name, Which.c_str(),
-              Parallelized);
+  std::printf("race-tsan: %s/%s: ok (%u loops)\n", B.Name.c_str(),
+              Which.c_str(), Parallelized);
   return 0;
 }
 

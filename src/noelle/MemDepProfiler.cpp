@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bitset>
 #include <cinttypes>
 #include <cstdio>
 #include <deque>
@@ -198,27 +199,29 @@ struct MemDepProfiler::Impl {
     uint64_t RId = 0, RT = 0; ///< last reader and its clock
   };
 
-  /// Shadow state of one aligned 8-byte word: one ByteState that stands
-  /// for all eight bytes until an access covers part of the word, then
-  /// one per byte for good (the word is split). Almost every access is a
-  /// whole aligned word, so it reads and writes one state.
-  struct WordState {
-    ByteState Whole;    ///< every byte's state while not split
-    uint32_t Split = 0; ///< 0, or 1 + the word's index in SplitWords
-  };
-  using SplitWord = std::array<ByteState, 8>;
-
-  /// Shadow memory in pages of WordState, one page per 4 KiB of address
-  /// space, behind a direct-mapped cache of recently used pages: loops
-  /// walk a few arrays at once, which thrashes the PageMap's own
-  /// one-page cache.
+  /// Shadow memory, one page per 4 KiB of address space. A word (aligned
+  /// 8 bytes) has one ByteState that stands for all eight bytes until an
+  /// access covers part of it; from then on the word is split and keeps
+  /// one state per byte, in the page's byte states, allocated when its
+  /// first word splits. Almost every access is a whole aligned word, so
+  /// it reads and writes one state, and a page that never splits takes
+  /// an eighth of the memory of per-byte states.
   static constexpr unsigned PageBits = 12;
-  using ShadowPages =
-      nir::PageMap<std::array<WordState, size_t(1) << (PageBits - 3)>,
-                   PageBits>;
+  static constexpr size_t WordsPerPage = size_t(1) << (PageBits - 3);
+  using SplitWord = std::array<ByteState, 8>;
+  struct ShadowPage {
+    std::array<ByteState, WordsPerPage> Words;
+    std::bitset<WordsPerPage> Split;
+    std::unique_ptr<std::array<SplitWord, WordsPerPage>> Bytes;
+  };
+  using ShadowPages = nir::PageMap<ShadowPage, PageBits>;
+
+  /// A direct-mapped cache of recently used pages in front of the page
+  /// map: loops walk a few arrays at once, which defeats the page map's
+  /// own one-page cache.
   struct CachedPage {
     uint64_t PageNo = ~uint64_t(0);
-    WordState *Words = nullptr;
+    ShadowPage *Page = nullptr;
   };
   static constexpr unsigned PageCacheSize = 16;
 
@@ -242,7 +245,6 @@ struct MemDepProfiler::Impl {
   std::vector<Frame> Stack;
   ShadowPages Shadow;
   std::array<CachedPage, PageCacheSize> PageCache;
-  std::vector<SplitWord> SplitWords;
   uint64_t Now = 0; ///< memory-access clock (monotone)
 
   // Static module indexes, built once at construction.
@@ -359,14 +361,14 @@ struct MemDepProfiler::Impl {
     }
   }
 
-  WordState &word(uint64_t Addr) {
+  ShadowPage &page(uint64_t Addr) {
     const uint64_t PageNo = Addr >> PageBits;
     CachedPage &C = PageCache[PageNo % PageCacheSize];
     if (C.PageNo != PageNo) {
       C.PageNo = PageNo;
-      C.Words = Shadow.page(Addr).data();
+      C.Page = &Shadow.page(Addr);
     }
-    return C.Words[ShadowPages::offset(Addr) >> 3];
+    return *C.Page;
   }
 
   /// Calls \p Visit on the shadow states of [Addr, Addr + Bytes): once
@@ -376,19 +378,21 @@ struct MemDepProfiler::Impl {
   void forEachState(uint64_t Addr, unsigned Bytes, VisitFn Visit) {
     const uint64_t End = Addr + Bytes;
     while (Addr != End) {
-      WordState &W = word(Addr);
+      ShadowPage &P = page(Addr);
+      const size_t W = ShadowPages::offset(Addr) >> 3;
       const unsigned Lo = Addr & 7;
       const unsigned Hi =
           static_cast<unsigned>(std::min<uint64_t>(8, End - (Addr & ~7ull)));
-      if (!W.Split && Lo == 0 && Hi == 8) {
-        Visit(W.Whole);
+      if (!P.Split[W] && Lo == 0 && Hi == 8) {
+        Visit(P.Words[W]);
       } else {
-        if (!W.Split) {
-          SplitWords.emplace_back();
-          SplitWords.back().fill(W.Whole);
-          W.Split = static_cast<uint32_t>(SplitWords.size());
+        if (!P.Bytes)
+          P.Bytes = std::make_unique<std::array<SplitWord, WordsPerPage>>();
+        SplitWord &Bs = (*P.Bytes)[W];
+        if (!P.Split[W]) {
+          Bs.fill(P.Words[W]);
+          P.Split.set(W);
         }
-        SplitWord &Bs = SplitWords[W.Split - 1];
         for (unsigned B = Lo; B != Hi; ++B)
           Visit(Bs[B]);
       }

@@ -42,7 +42,7 @@ void Profiler::onBranchExecuted(const BranchInst *Br, unsigned Taken) {
   const BasicBlock *BB = Br->getParent();
   const uint32_t Idx = BB == LastBlock ? LastIdx : indexOf(BB);
   if (Idx != NoBlock)
-    ++Blocks[Idx].Taken[Taken == 0 ? 0 : 1];
+    ++Blocks[Idx].Taken[Taken != 0];
 }
 
 void Profiler::onCallExecuted(const nir::CallInst *, const Function *Callee) {

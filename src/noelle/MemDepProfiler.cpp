@@ -281,10 +281,8 @@ struct MemDepProfiler::Impl {
   }
 
   uint64_t idOf(const Instruction *I) const {
-    if (!I)
-      return 0;
-    const uint64_t *Id = Ids.find(I);
-    return Id ? *Id : nir::instIDOf(I).value_or(0);
+    const uint64_t *Id = I ? Ids.find(I) : nullptr;
+    return Id ? *Id : 0;
   }
 
   /// Unwinds frames invalidated by control arriving at block \p B: loop

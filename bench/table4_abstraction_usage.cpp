@@ -9,9 +9,9 @@
 ///
 /// A second table checks §2.2's demand-driven claim, that users pay only
 /// for the abstractions they request: five single requests to a fresh
-/// manager, each with what it recorded and how many functions of the
-/// whole-program PDG it built (telemetry counter PDGFunctionsBuilt). The
-/// loop requests build loop-scoped graphs instead, so they read 0.
+/// manager, each with what it recorded and how many functions'
+/// dependence lists it built (telemetry counter PDGFunctionsBuilt). The
+/// loop requests build only the one function that holds loops, once.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -691,7 +691,7 @@ ExecutionEngine::DecodedFunction &ExecutionEngine::getDecoded(Function *F) {
 
   // Shared by standalone compares and fused compare-branches.
   auto FillCmp = [&](DInst &D, const CmpInst *C, Opc RRBase, Opc RIBase) {
-    uint64_t LB, RB;
+    uint64_t LB = 0, RB = 0;
     const Value *L = C->getLHS(), *R = C->getRHS();
     const bool LC = ConstBits(L, LB), RC = ConstBits(R, RB);
     CmpInst::Pred P = C->getPred();

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <numeric>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -56,40 +55,22 @@ public:
   /// Registers \p N. Internal nodes belong to the analyzed region;
   /// external nodes represent its live-ins/live-outs.
   void addNode(NodeT *N, bool Internal) {
-    thaw();
-    // Adding the first external node to an all-internal bulk-loaded
-    // graph forces the internal set to become its own copy.
-    if (SharedAllInternal && !Internal) {
-      Internals = Nodes;
-      SharedAllInternal = false;
-    }
     if (Nodes.insert(N).second) {
-      if (Internal) {
-        if (!SharedAllInternal)
-          Internals.insert(N);
-      } else {
-        Externals.insert(N);
-      }
+      (Internal ? Internals : Externals).insert(N);
       return;
     }
     // Upgrading an external node to internal is allowed (e.g. when a
     // region grows); the reverse is not.
-    if (Internal && Externals.count(N)) {
-      Externals.erase(N);
+    if (Internal && Externals.erase(N))
       Internals.insert(N);
-    }
   }
 
   bool hasNode(NodeT *N) const { return Nodes.count(N) != 0; }
-  bool isInternal(NodeT *N) const {
-    return SharedAllInternal ? hasNode(N) : Internals.count(N) != 0;
-  }
+  bool isInternal(NodeT *N) const { return Internals.count(N) != 0; }
   bool isExternal(NodeT *N) const { return Externals.count(N) != 0; }
 
   const std::set<NodeT *> &getNodes() const { return Nodes; }
-  const std::set<NodeT *> &getInternalNodes() const {
-    return SharedAllInternal ? Nodes : Internals;
-  }
+  const std::set<NodeT *> &getInternalNodes() const { return Internals; }
   const std::set<NodeT *> &getExternalNodes() const { return Externals; }
 
   /// Adds an edge; both endpoints must already be nodes.
@@ -100,84 +81,17 @@ public:
   }
 
   /// addEdge without the endpoint-membership check, for bulk paths that
-  /// guarantee it structurally — the embedded-cache deserializer and the
-  /// parallel build's subgraph merge, which both register every
-  /// instruction as a node up front. The membership check walks two
-  /// node sets per edge, which dominates bulk insertion cost.
+  /// guarantee it structurally — the PDG builder's graph assembly and
+  /// the pdg artifact loader, which both register every endpoint as a
+  /// node up front. The membership check walks two node sets per edge,
+  /// which dominates bulk insertion cost.
   EdgeT *addEdgeTrusted(const EdgeT &E) {
-    thaw();
     Edges.push_back({E, false});
     EdgeT *Raw = &Edges.back().E;
     OutEdges[E.From].push_back(Raw);
     InEdges[E.To].push_back(Raw);
     ++LiveEdges;
     return Raw;
-  }
-
-  /// Populates an empty graph in O(N + E): registers \p NodesInOrder as
-  /// internal nodes, then adds \p NewEdges, whose endpoints
-  /// \p Endpoints[i] gives as positions into \p NodesInOrder. The node
-  /// sets are built from one sorted copy instead of N tree inserts, and
-  /// the adjacency is laid out as a frozen CSR (two flat arrays plus
-  /// offset tables) by counting sort — no per-node hash-table slots or
-  /// list allocations, which is what makes loading a serialized PDG
-  /// cheap relative to the analyses it skips. The first mutation thaws
-  /// the CSR into the incremental adjacency maps (see thaw()).
-  /// Observably equivalent to calling addNode then addEdgeTrusted per
-  /// element.
-  void bulkLoad(const std::vector<NodeT *> &NodesInOrder,
-                std::vector<EdgeT> &&NewEdges,
-                const std::vector<std::pair<uint32_t, uint32_t>> &Endpoints) {
-    assert(Nodes.empty() && Edges.empty() && "bulkLoad on a used graph");
-    assert(NewEdges.size() == Endpoints.size());
-
-    const size_t N = NodesInOrder.size();
-    std::vector<uint32_t> Ord(N);
-    std::iota(Ord.begin(), Ord.end(), 0);
-    std::sort(Ord.begin(), Ord.end(), [&](uint32_t A, uint32_t B) {
-      return NodesInOrder[A] < NodesInOrder[B];
-    });
-    FrozenSorted.resize(N);
-    FrozenPosOf.resize(N);
-    for (size_t I = 0; I < N; ++I) {
-      FrozenSorted[I] = NodesInOrder[Ord[I]];
-      FrozenPosOf[I] = Ord[I];
-    }
-    assert(std::adjacent_find(FrozenSorted.begin(), FrozenSorted.end()) ==
-               FrozenSorted.end() &&
-           "duplicate nodes");
-    Nodes = std::set<NodeT *>(FrozenSorted.begin(), FrozenSorted.end());
-    // Every bulk-loaded node is internal: share the set instead of
-    // copying the tree (see SharedAllInternal).
-    SharedAllInternal = true;
-
-    FrozenOutOff.assign(N + 1, 0);
-    FrozenInOff.assign(N + 1, 0);
-    for (const auto &[From, To] : Endpoints) {
-      assert(From < N && To < N && "endpoint index out of range");
-      ++FrozenOutOff[From + 1];
-      ++FrozenInOff[To + 1];
-    }
-    std::partial_sum(FrozenOutOff.begin(), FrozenOutOff.end(),
-                     FrozenOutOff.begin());
-    std::partial_sum(FrozenInOff.begin(), FrozenInOff.end(),
-                     FrozenInOff.begin());
-    FrozenOut.resize(NewEdges.size());
-    FrozenIn.resize(NewEdges.size());
-    std::vector<uint32_t> OutCur(FrozenOutOff.begin(),
-                                 FrozenOutOff.end() - 1);
-    std::vector<uint32_t> InCur(FrozenInOff.begin(), FrozenInOff.end() - 1);
-    for (size_t I = 0; I < NewEdges.size(); ++I) {
-      assert(NewEdges[I].From == NodesInOrder[Endpoints[I].first] &&
-             NewEdges[I].To == NodesInOrder[Endpoints[I].second] &&
-             "endpoint indices disagree with edge pointers");
-      Edges.push_back({std::move(NewEdges[I]), false});
-      EdgeT *Raw = &Edges.back().E;
-      FrozenOut[OutCur[Endpoints[I].first]++] = Raw;
-      FrozenIn[InCur[Endpoints[I].second]++] = Raw;
-    }
-    LiveEdges = NewEdges.size();
-    Frozen = true;
   }
 
   /// Convenience: register data dependence From -> To.
@@ -190,38 +104,9 @@ public:
     return addEdge(E);
   }
 
-  /// Convenience: memory data dependence From -> To.
-  EdgeT *addMemoryDep(NodeT *From, NodeT *To, DataDepKind Kind, bool Must) {
-    EdgeT E;
-    E.From = From;
-    E.To = To;
-    E.Kind = Kind;
-    E.IsMemory = true;
-    E.IsMust = Must;
-    return addEdge(E);
-  }
-
-  /// Convenience: control dependence From (branch) -> To.
-  EdgeT *addControlDep(NodeT *From, NodeT *To) {
-    EdgeT E;
-    E.From = From;
-    E.To = To;
-    E.IsControl = true;
-    return addEdge(E);
-  }
-
   /// Edges leaving \p N. The view is invalidated by any graph mutation
-  /// (like iterators): mutating a bulk-loaded graph thaws its frozen CSR
-  /// adjacency into the incremental maps.
+  /// (like iterators).
   std::span<EdgeT *const> getOutEdges(NodeT *N) const {
-    if (Frozen) {
-      uint32_t Pos;
-      if (!frozenPosOf(N, Pos))
-        return {};
-      return std::span<EdgeT *const>(FrozenOut.data() + FrozenOutOff[Pos],
-                                     FrozenOutOff[Pos + 1] -
-                                         FrozenOutOff[Pos]);
-    }
     auto It = OutEdges.find(N);
     if (It == OutEdges.end())
       return {};
@@ -230,14 +115,6 @@ public:
 
   /// Edges entering \p N; same invalidation rule as getOutEdges.
   std::span<EdgeT *const> getInEdges(NodeT *N) const {
-    if (Frozen) {
-      uint32_t Pos;
-      if (!frozenPosOf(N, Pos))
-        return {};
-      return std::span<EdgeT *const>(FrozenIn.data() + FrozenInOff[Pos],
-                                     FrozenInOff[Pos + 1] -
-                                         FrozenInOff[Pos]);
-    }
     auto It = InEdges.find(N);
     if (It == InEdges.end())
       return {};
@@ -262,7 +139,6 @@ public:
   /// lists and tombstoned in the edge store (their memory stays owned by
   /// the graph, so stale EdgeT* held by callers never dangle).
   void removeEdgesBetween(NodeT *From, NodeT *To, bool BothDirections) {
-    thaw();
     auto Match = [&](const EdgeT *E) {
       if (E->From == From && E->To == To)
         return true;
@@ -317,47 +193,6 @@ private:
     bool Dead;
   };
 
-  /// Looks \p N up in the frozen node table; on success sets \p Pos to
-  /// its bulkLoad position (the CSR offset index).
-  bool frozenPosOf(NodeT *N, uint32_t &Pos) const {
-    auto It =
-        std::lower_bound(FrozenSorted.begin(), FrozenSorted.end(), N);
-    if (It == FrozenSorted.end() || *It != N)
-      return false;
-    Pos = FrozenPosOf[It - FrozenSorted.begin()];
-    return true;
-  }
-
-  /// Converts the frozen CSR adjacency into the incremental hash-map
-  /// form. Called by every mutator: the CSR arrays cannot absorb edge
-  /// insertions or removals, so the first mutation after a bulkLoad
-  /// pays one conversion and the graph behaves as if built
-  /// incrementally from then on.
-  void thaw() {
-    if (!Frozen)
-      return;
-    Frozen = false;
-    const size_t N = FrozenSorted.size();
-    OutEdges.reserve(N);
-    InEdges.reserve(N);
-    for (size_t S = 0; S < N; ++S) {
-      NodeT *Node = FrozenSorted[S];
-      uint32_t Pos = FrozenPosOf[S];
-      if (FrozenOutOff[Pos + 1] != FrozenOutOff[Pos])
-        OutEdges[Node].assign(FrozenOut.begin() + FrozenOutOff[Pos],
-                              FrozenOut.begin() + FrozenOutOff[Pos + 1]);
-      if (FrozenInOff[Pos + 1] != FrozenInOff[Pos])
-        InEdges[Node].assign(FrozenIn.begin() + FrozenInOff[Pos],
-                             FrozenIn.begin() + FrozenInOff[Pos + 1]);
-    }
-    FrozenSorted = {};
-    FrozenPosOf = {};
-    FrozenOutOff = {};
-    FrozenInOff = {};
-    FrozenOut = {};
-    FrozenIn = {};
-  }
-
   /// Node sets stay ordered (std::set): several consumers iterate them
   /// (SCC seeding, islands) and their order must not depend on a hash
   /// function. The adjacency tables below are only ever accessed by
@@ -366,27 +201,10 @@ private:
   std::set<NodeT *> Nodes;
   std::set<NodeT *> Internals;
   std::set<NodeT *> Externals;
-  /// True after bulkLoad while every node is internal: Internals stays
-  /// empty and the internal-node queries answer from Nodes, avoiding a
-  /// full tree copy. Cleared (with Internals materialized) the moment
-  /// an external node is added.
-  bool SharedAllInternal = false;
   std::deque<StoredEdge> Edges;
   uint64_t LiveEdges = 0;
   std::unordered_map<NodeT *, std::vector<EdgeT *>> OutEdges;
   std::unordered_map<NodeT *, std::vector<EdgeT *>> InEdges;
-
-  /// Frozen CSR adjacency, populated by bulkLoad and cleared by thaw().
-  /// While Frozen, getOutEdges/getInEdges answer from these flat arrays
-  /// (binary search in FrozenSorted, then an offset-table slice) and
-  /// the hash maps above are empty.
-  bool Frozen = false;
-  std::vector<NodeT *> FrozenSorted;   ///< node pointers, sorted
-  std::vector<uint32_t> FrozenPosOf;   ///< sorted index -> load position
-  std::vector<uint32_t> FrozenOutOff;  ///< CSR offsets by load position
-  std::vector<uint32_t> FrozenInOff;   ///< CSR offsets by load position
-  std::vector<EdgeT *> FrozenOut;      ///< flat out-adjacency
-  std::vector<EdgeT *> FrozenIn;       ///< flat in-adjacency
 };
 
 } // namespace noelle

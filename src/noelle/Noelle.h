@@ -143,8 +143,8 @@ public:
 
   /// Drops the cached analyses of one mutated function — its dominator
   /// tree, loop info, function DG, and loop bundles — plus every
-  /// whole-program structure (the PDG, its alias analyses, the loop
-  /// forest). Bundles of untouched functions survive; transforms call
+  /// whole-program structure (every function's dependence list and the
+  /// PDG assembled from them, the alias analyses, the loop forest). Bundles of untouched functions survive; transforms call
   /// this for each function they changed. Note the surviving loop DGs
   /// keep dependences computed with pre-mutation interprocedural
   /// aliasing — sound for the IR they describe since memory dependence

@@ -77,7 +77,10 @@ void PDGBuilder::ensureAA() {
 
 void PDGBuilder::invalidate() {
   WholePDG.reset();
+  Deps.clear();
+  ArtifactChecked = false;
   LoadedFromEmbedded = false;
+  ArtifactStats = {};
   AA.reset();
   SummaryAA.reset();
   ReadSet.clear();
@@ -232,15 +235,22 @@ bool PDGBuilder::callMayTouch(const CallInst *Call, const Value *Ptr) {
 // Per-function dependences
 //===----------------------------------------------------------------------===//
 
-void PDGBuilder::buildFunctionDeps(Function &F, PDG &G, PDG::Stats &Stats) {
-  // Register dependences from SSA def-use chains.
+void PDGBuilder::buildFunctionDeps(Function &F, FunctionDeps &D) {
+  std::vector<PDG::EdgeT> &Out = D.Edges;
+  PDG::Stats &Stats = D.Stats;
+  auto MemDep = [&Out](Instruction *From, Instruction *To, DataDepKind Kind,
+                       bool Must) {
+    Out.push_back(
+        {.From = From, .To = To, .Kind = Kind, .IsMemory = true, .IsMust = Must});
+  };
+
+  // Register dependences from SSA def-use chains. An instruction's
+  // instruction operands belong to its own function.
   for (const auto &BB : F.getBlocks())
     for (const auto &I : BB->getInstList())
-      for (const Value *Op : I->operands()) {
-        auto *OpI = nir::dyn_cast<Instruction>(const_cast<Value *>(Op));
-        if (OpI && G.hasNode(OpI))
-          G.addRegisterDep(OpI, I.get(), DataDepKind::RAW);
-      }
+      for (Value *Op : I->operands())
+        if (nir::isa<Instruction>(Op))
+          Out.push_back({.From = Op, .To = I.get(), .IsMust = true});
 
   // Memory dependences among loads/stores/calls.
   std::vector<Instruction *> MemInsts;
@@ -319,9 +329,9 @@ void PDGBuilder::buildFunctionDeps(Function &F, PDG &G, PDG::Stats &Stats) {
           ++Stats.MemoryPairsDisproved;
           continue;
         }
-        G.addMemoryDep(IA, IB, DataDepKind::WAW, /*Must=*/false);
+        MemDep(IA, IB, DataDepKind::WAW, /*Must=*/false);
         if (A != B)
-          G.addMemoryDep(IB, IA, DataDepKind::WAW, /*Must=*/false);
+          MemDep(IB, IA, DataDepKind::WAW, /*Must=*/false);
         continue;
       }
 
@@ -336,12 +346,10 @@ void PDGBuilder::buildFunctionDeps(Function &F, PDG &G, PDG::Stats &Stats) {
         }
         bool MemIsStore = ACall ? MB.IsWrite : MA.IsWrite;
         // Call treated as a read+write of the location.
-        G.addMemoryDep(Call, Mem, MemIsStore ? DataDepKind::WAW
-                                             : DataDepKind::RAW,
-                       /*Must=*/false);
-        G.addMemoryDep(Mem, Call, MemIsStore ? DataDepKind::RAW
-                                             : DataDepKind::WAR,
-                       /*Must=*/false);
+        MemDep(Call, Mem, MemIsStore ? DataDepKind::WAW : DataDepKind::RAW,
+               /*Must=*/false);
+        MemDep(Mem, Call, MemIsStore ? DataDepKind::RAW : DataDepKind::WAR,
+               /*Must=*/false);
         continue;
       }
 
@@ -356,23 +364,24 @@ void PDGBuilder::buildFunctionDeps(Function &F, PDG &G, PDG::Stats &Stats) {
       }
       bool Must = AR == AliasResult::MustAlias;
       if (AStore && BStore) {
-        G.addMemoryDep(IA, IB, DataDepKind::WAW, Must);
+        MemDep(IA, IB, DataDepKind::WAW, Must);
         if (A != B)
-          G.addMemoryDep(IB, IA, DataDepKind::WAW, Must);
+          MemDep(IB, IA, DataDepKind::WAW, Must);
       } else if (AStore && BLoad) {
-        G.addMemoryDep(IA, IB, DataDepKind::RAW, Must);
-        G.addMemoryDep(IB, IA, DataDepKind::WAR, Must);
+        MemDep(IA, IB, DataDepKind::RAW, Must);
+        MemDep(IB, IA, DataDepKind::WAR, Must);
       } else if (ALoad && BStore) {
-        G.addMemoryDep(IA, IB, DataDepKind::WAR, Must);
-        G.addMemoryDep(IB, IA, DataDepKind::RAW, Must);
+        MemDep(IA, IB, DataDepKind::WAR, Must);
+        MemDep(IB, IA, DataDepKind::RAW, Must);
       }
     }
   }
 
-  buildControlDeps(F, G);
+  buildControlDeps(F, Out);
 }
 
-void PDGBuilder::buildControlDeps(Function &F, PDG &G) {
+void PDGBuilder::buildControlDeps(Function &F,
+                                  std::vector<PDG::EdgeT> &Edges) {
   PostDominatorTree PDT(F);
   for (const auto &BB : F.getBlocks()) {
     auto *Br = nir::dyn_cast_or_null<BranchInst>(BB->getTerminator());
@@ -390,8 +399,7 @@ void PDGBuilder::buildControlDeps(Function &F, PDG &G) {
       std::set<BasicBlock *> Seen;
       while (Cur && Cur != Stop && Seen.insert(Cur).second) {
         for (const auto &I : Cur->getInstList())
-          if (G.hasNode(I.get()))
-            G.addControlDep(Br, I.get());
+          Edges.push_back({.From = Br, .To = I.get(), .IsControl = true});
         Cur = PDT.getIPDom(Cur);
       }
     }
@@ -402,153 +410,107 @@ void PDGBuilder::buildControlDeps(Function &F, PDG &G) {
 // Whole-program / function / loop graphs
 //===----------------------------------------------------------------------===//
 
-void PDGBuilder::buildWholeSerial(PDG &G) {
+void PDGBuilder::buildDeps(const std::vector<Function *> &Fns) {
   ensureAA();
-  for (const auto &F : M.getFunctions()) {
-    if (F->isDeclaration())
-      continue;
+  std::vector<FunctionDeps> Slots(Fns.size());
+  auto Build = [this, &Fns, &Slots](size_t I) {
     const uint64_t T0 = telemetry::metricsEnabled() ? telemetry::nowNs() : 0;
-    buildFunctionDeps(*F, G, G.getStatsMutable());
+    buildFunctionDeps(*Fns[I], Slots[I]);
     if (T0) {
       const uint64_t T1 = telemetry::nowNs();
       telemetry::count(telemetry::Counter::PDGFunctionsBuilt);
       telemetry::record(telemetry::Hist::PDGFnBuildNs, T1 - T0);
-      telemetry::traceSpan("pdg.build:" + F->getName(), T0, T1);
+      telemetry::traceSpan("pdg.build:" + Fns[I]->getName(), T0, T1);
     }
+  };
+  if (Opts.ParallelBuild && Fns.size() > 1) {
+    // The mod/ref summaries are read-only once built, so the jobs query
+    // them (and the alias analyses) without locks; each job writes only
+    // its own slot.
+    if (Opts.UseModRefSummaries)
+      buildModRefSummaries();
+    std::vector<nir::ThreadPool::Job> Jobs;
+    Jobs.reserve(Fns.size());
+    for (size_t I = 0; I < Fns.size(); ++I)
+      Jobs.push_back([&Build, I] { Build(I); });
+    nir::analysisThreadPool().runIndependent(std::move(Jobs),
+                                             Opts.Parallelism);
+  } else {
+    for (size_t I = 0; I < Fns.size(); ++I)
+      Build(I);
   }
+  for (size_t I = 0; I < Fns.size(); ++I)
+    Deps.emplace(Fns[I], std::move(Slots[I]));
 }
 
-void PDGBuilder::buildWholeParallel(PDG &G) {
-  // Shared analyses first, serially: the Andersen stack and the mod/ref
-  // summaries are read-only once built, so the per-function jobs below
-  // query them without locks.
-  ensureAA();
-  if (Opts.UseModRefSummaries)
-    buildModRefSummaries();
-
-  std::vector<Function *> Defined;
-  for (const auto &F : M.getFunctions())
-    if (!F->isDeclaration())
-      Defined.push_back(F.get());
-
-  // One job per defined function, each building its own subgraph. No
-  // dependence ever crosses a function boundary (SSA operands, memory
-  // pairs, and control dependences are all intra-function), so the
-  // subgraphs partition the whole-program edge set.
-  std::vector<std::unique_ptr<PDG>> Subs(Defined.size());
-  std::vector<nir::ThreadPool::Job> Jobs;
-  Jobs.reserve(Defined.size());
-  for (size_t I = 0; I < Defined.size(); ++I)
-    Jobs.push_back([this, &Subs, &Defined, I] {
-      Function &F = *Defined[I];
-      const uint64_t T0 =
-          telemetry::metricsEnabled() ? telemetry::nowNs() : 0;
-      auto Sub = std::make_unique<PDG>();
-      for (const auto &BB : F.getBlocks())
-        for (const auto &Inst : BB->getInstList())
-          Sub->addNode(Inst.get(), /*Internal=*/true);
-      buildFunctionDeps(F, *Sub, Sub->getStatsMutable());
-      Subs[I] = std::move(Sub);
-      if (T0) {
-        const uint64_t T1 = telemetry::nowNs();
-        telemetry::count(telemetry::Counter::PDGFunctionsBuilt);
-        telemetry::record(telemetry::Hist::PDGFnBuildNs, T1 - T0);
-        telemetry::traceSpan("pdg.build:" + F.getName(), T0, T1);
-      }
-    });
-  nir::analysisThreadPool().runIndependent(std::move(Jobs),
-                                           Opts.Parallelism);
-
-  // Deterministic merge: module function order (== ascending function
-  // IDs), each subgraph's edges in their local insertion order. This
-  // reproduces the serial build's edge sequence exactly.
-  for (size_t I = 0; I < Subs.size(); ++I) {
-    PDG &Sub = *Subs[I];
-    // Endpoints are instructions of a defined function, all registered
-    // in G before the build started — skip the per-edge membership
-    // check.
-    for (const auto *E : Sub.getEdges())
-      G.addEdgeTrusted(*E);
-    G.getStatsMutable().MemoryPairsQueried +=
-        Sub.getStats().MemoryPairsQueried;
-    G.getStatsMutable().MemoryPairsDisproved +=
-        Sub.getStats().MemoryPairsDisproved;
+const PDGBuilder::FunctionDeps &PDGBuilder::depsOf(Function &F) {
+  loadArtifact();
+  auto It = Deps.find(&F);
+  if (It == Deps.end()) {
+    buildDeps({&F});
+    It = Deps.find(&F);
   }
+  return It->second;
 }
 
 PDG &PDGBuilder::getPDG() {
   if (WholePDG)
     return *WholePDG;
-  if (Opts.UseEmbedded) {
-    if (auto Cached = PDG::loadEmbedded(M)) {
-      telemetry::count(telemetry::Counter::PDGEmbeddedHit);
-      WholePDG = std::move(Cached);
-      LoadedFromEmbedded = true;
-      return *WholePDG;
-    }
-    telemetry::count(telemetry::Counter::PDGEmbeddedMiss);
-  }
-  LoadedFromEmbedded = false;
+  loadArtifact();
+  std::vector<Function *> Missing;
+  for (const auto &F : M.getFunctions())
+    if (!F->isDeclaration() && !Deps.count(F.get()))
+      Missing.push_back(F.get());
+  buildDeps(Missing);
+
+  // Module function order, each list in its build order: the edge
+  // sequence does not depend on which lists were built in parallel.
   WholePDG = std::make_unique<PDG>();
   PDG &G = *WholePDG;
-  std::vector<Value *> AllInsts;
-  AllInsts.reserve(M.getNumInstructions());
+  PDG::Stats &S = G.getStatsMutable();
+  S = ArtifactStats;
   for (const auto &F : M.getFunctions())
     for (const auto &BB : F->getBlocks())
       for (const auto &I : BB->getInstList())
-        AllInsts.push_back(I.get());
-  G.bulkLoad(AllInsts, {}, {});
-
-  unsigned Defined = 0;
-  for (const auto &F : M.getFunctions())
-    if (!F->isDeclaration())
-      ++Defined;
-  if (Opts.ParallelBuild && Defined > 1)
-    buildWholeParallel(G);
-  else
-    buildWholeSerial(G);
+        G.addNode(I.get(), /*Internal=*/true);
+  for (const auto &F : M.getFunctions()) {
+    if (F->isDeclaration())
+      continue;
+    const FunctionDeps &D = Deps.at(F.get());
+    for (const PDG::EdgeT &E : D.Edges)
+      G.addEdgeTrusted(E);
+    S.MemoryPairsQueried += D.Stats.MemoryPairsQueried;
+    S.MemoryPairsDisproved += D.Stats.MemoryPairsDisproved;
+  }
   return G;
 }
 
-std::unique_ptr<PDG> PDGBuilder::getFunctionDG(Function &F) {
-  ensureAA();
+std::unique_ptr<PDG> PDGBuilder::assembleView(Function &F,
+                                              const LoopStructure *L) {
+  const FunctionDeps &D = depsOf(F);
   auto G = std::make_unique<PDG>();
   for (const auto &BB : F.getBlocks())
     for (const auto &I : BB->getInstList())
-      G->addNode(I.get(), /*Internal=*/true);
-  // External nodes: arguments and globals referenced by the function.
-  for (const auto &BB : F.getBlocks())
-    for (const auto &I : BB->getInstList())
-      for (Value *Op : I->operands()) {
-        if (nir::isa<nir::Argument>(Op) || nir::isa<GlobalVariable>(Op)) {
-          G->addNode(Op, /*Internal=*/false);
-          G->addRegisterDep(Op, I.get(), DataDepKind::RAW);
-        }
-      }
-  buildFunctionDeps(F, *G, G->getStatsMutable());
-  return G;
-}
-
-std::unique_ptr<PDG> PDGBuilder::getLoopDG(LoopStructure &L) {
-  ensureAA();
-  Function &F = *L.getFunction();
-
-  // Build the function-level dependences over a graph whose internal
-  // nodes are the loop's instructions; everything else in the function
-  // that interacts with the loop becomes external.
-  auto G = std::make_unique<PDG>();
-  for (const auto &BB : F.getBlocks())
-    for (const auto &I : BB->getInstList())
-      G->addNode(I.get(), L.contains(I.get()));
+      G->addNode(I.get(), !L || L->contains(I.get()));
   for (const auto &BB : F.getBlocks())
     for (const auto &I : BB->getInstList())
       for (Value *Op : I->operands())
         if (nir::isa<nir::Argument>(Op) || nir::isa<GlobalVariable>(Op)) {
           G->addNode(Op, /*Internal=*/false);
-          if (L.contains(I.get()))
+          if (!L || L->contains(I.get()))
             G->addRegisterDep(Op, I.get(), DataDepKind::RAW);
         }
-  buildFunctionDeps(F, *G, G->getStatsMutable());
+  for (const PDG::EdgeT &E : D.Edges)
+    G->addEdgeTrusted(E);
+  return G;
+}
+
+std::unique_ptr<PDG> PDGBuilder::getFunctionDG(Function &F) {
+  return assembleView(F, nullptr);
+}
+
+std::unique_ptr<PDG> PDGBuilder::getLoopDG(LoopStructure &L) {
+  auto G = assembleView(*L.getFunction(), &L);
   refineLoopCarried(L, *G);
   return G;
 }
@@ -611,55 +573,55 @@ inline bool parseUInt(const char *&P, const char *End, uint64_t &Out) {
   return P != Start;
 }
 
-} // namespace
-
-std::unique_ptr<PDG> PDG::loadEmbedded(Module &M) {
+/// Decodes \p M's current pdg artifact into its stats and its edges, in
+/// record order. False when \p M carries none, when it is stale or
+/// unreadable, or when an edge does not join two instructions of one
+/// function.
+bool decodeArtifact(Module &M, PDG::Stats &Stats,
+                    std::vector<PDG::EdgeT> &Edges) {
   nir::Artifact A;
   std::string Err;
   if (!nir::readCurrentArtifact(M, nir::ArtifactKind::PDG, A, Err))
-    return nullptr;
+    return false;
   const char *P = A.Payload.data();
   const char *End = P + A.Payload.size();
-  Stats S;
+  PDG::Stats S;
   if (!parseUInt(P, End, S.MemoryPairsQueried) || P >= End || *P++ != ',' ||
       !parseUInt(P, End, S.MemoryPairsDisproved) || P >= End || *P++ != '\n')
-    return nullptr;
+    return false;
 
   // Edge endpoints are positions in the order embed() walked, which the
   // hash match just proved unchanged.
-  std::vector<Value *> ByIndex;
+  std::vector<Instruction *> ByIndex;
   ByIndex.reserve(M.getNumInstructions());
   for (const auto &F : M.getFunctions())
     for (const auto &BB : F->getBlocks())
       for (const auto &I : BB->getInstList())
         ByIndex.push_back(I.get());
 
-  // Decode every edge first, then hand nodes and edges to the graph in
-  // one O(N + E) bulk load.
-  std::vector<DependenceEdge<Value>> Decoded;
-  std::vector<std::pair<uint32_t, uint32_t>> Endpoints;
   while (P < End) {
     uint64_t FromID, ToID, Bits;
     if (!parseUInt(P, End, FromID) || P >= End || *P++ != ':')
-      return nullptr;
+      return false;
     if (!parseUInt(P, End, ToID) || P >= End || *P++ != ':')
-      return nullptr;
+      return false;
     if (!parseUInt(P, End, Bits))
-      return nullptr;
+      return false;
     int64_t Distance = -1;
     if (P < End && *P == ':') {
       ++P;
       uint64_t D;
       if (!parseUInt(P, End, D))
-        return nullptr;
+        return false;
       Distance = static_cast<int64_t>(D);
     }
     if (P < End && *P++ != ';')
-      return nullptr;
+      return false;
 
-    if (FromID >= ByIndex.size() || ToID >= ByIndex.size())
-      return nullptr;
-    DependenceEdge<Value> E;
+    if (FromID >= ByIndex.size() || ToID >= ByIndex.size() ||
+        ByIndex[FromID]->getFunction() != ByIndex[ToID]->getFunction())
+      return false;
+    PDG::EdgeT E;
     E.From = ByIndex[FromID];
     E.To = ByIndex[ToID];
     E.IsControl = Bits & 1;
@@ -668,15 +630,59 @@ std::unique_ptr<PDG> PDG::loadEmbedded(Module &M) {
     E.IsMust = Bits & 8;
     E.Kind = static_cast<DataDepKind>((Bits >> 4) & 3);
     E.Distance = Distance;
-    Decoded.push_back(E);
-    Endpoints.emplace_back(static_cast<uint32_t>(FromID),
-                           static_cast<uint32_t>(ToID));
+    Edges.push_back(E);
   }
+  Stats = S;
+  return true;
+}
 
+} // namespace
+
+std::unique_ptr<PDG> PDG::loadEmbedded(Module &M) {
   auto G = std::make_unique<PDG>();
-  G->bulkLoad(ByIndex, std::move(Decoded), Endpoints);
-  G->TheStats = S;
+  std::vector<EdgeT> Edges;
+  if (!decodeArtifact(M, G->TheStats, Edges))
+    return nullptr;
+  for (const auto &F : M.getFunctions())
+    for (const auto &BB : F->getBlocks())
+      for (const auto &I : BB->getInstList())
+        G->addNode(I.get(), /*Internal=*/true);
+  for (const EdgeT &E : Edges)
+    G->addEdgeTrusted(E);
   return G;
+}
+
+void PDGBuilder::loadArtifact() {
+  if (ArtifactChecked)
+    return;
+  ArtifactChecked = true;
+  // The artifact holds what pdgEmbed builds; a builder at another
+  // precision would adopt edges its own analyses do not compute.
+  if (!Opts.UseEmbedded || Opts.AliasAnalysisName != "noelle" ||
+      !Opts.UseModRefSummaries)
+    return;
+  std::vector<PDG::EdgeT> Edges;
+  if (!decodeArtifact(M, ArtifactStats, Edges)) {
+    telemetry::count(telemetry::Counter::PDGEmbeddedMiss);
+    return;
+  }
+  telemetry::count(telemetry::Counter::PDGEmbeddedHit);
+  LoadedFromEmbedded = true;
+  for (const auto &F : M.getFunctions())
+    if (!F->isDeclaration())
+      Deps[F.get()];
+  // A record lists each function's edges together, so consecutive edges
+  // mostly share their list.
+  const Function *Last = nullptr;
+  std::vector<PDG::EdgeT> *List = nullptr;
+  for (const PDG::EdgeT &E : Edges) {
+    const Function *F = nir::cast<Instruction>(E.From)->getFunction();
+    if (F != Last) {
+      Last = F;
+      List = &Deps.at(F).Edges;
+    }
+    List->push_back(E);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,12 +6,14 @@
 /// alias-analysis-powered memory disambiguation, interprocedural mod/ref
 /// summaries, and post-dominance-based control dependences.
 ///
-/// Construction is parallel (one job per defined function on the shared
-/// analysis thread pool, deterministically merged), and the finished
+/// Dependences never cross a function boundary, so the builder computes
+/// one edge list per function, once (in parallel on the shared analysis
+/// thread pool for a whole-program request), and assembles the
+/// whole-program, function and loop graphs from those lists. The
 /// whole-program graph can be embedded into the IR as a hash-bound
-/// artifact (ir/Artifact.h), so downstream tools load it instead of
-/// recomputing (the paper's noelle-meta-pdg-embed / noelle-load
-/// workflow).
+/// artifact (ir/Artifact.h); a later builder splits it into the same
+/// per-function lists instead of recomputing (the paper's
+/// noelle-meta-pdg-embed / noelle-load workflow).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,8 @@
 #include "noelle/DependenceGraph.h"
 
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 namespace noelle {
 
@@ -37,6 +41,7 @@ using nir::Value;
 class PDG : public DependenceGraph<Value> {
 public:
   /// Statistics from construction, used by the Figure 3 experiment.
+  /// Only the whole-program graph carries them.
   struct Stats {
     uint64_t MemoryPairsQueried = 0;  ///< potential memory dependences
     uint64_t MemoryPairsDisproved = 0; ///< proven NoAlias / NoModRef
@@ -53,8 +58,8 @@ public:
   void embed(Module &M) const;
 
   /// Reconstructs \p M's pdg artifact. Returns null when \p M carries
-  /// none, when it is stale or unreadable, or when an edge endpoint does
-  /// not resolve to an instruction.
+  /// none, when it is stale or unreadable, or when an edge does not join
+  /// two instructions of one function.
   static std::unique_ptr<PDG> loadEmbedded(Module &M);
 
 private:
@@ -67,30 +72,35 @@ private:
 struct PDGBuildOptions {
   std::string AliasAnalysisName = "noelle"; ///< none | llvm | noelle
   bool UseModRefSummaries = true; ///< interprocedural call mod/ref pruning
-  /// Build per-function dependence subgraphs concurrently on the shared
-  /// analysis thread pool; the merged result is bit-identical to the
-  /// serial build.
+  /// Build the per-function edge lists a whole-program request lacks
+  /// concurrently on the shared analysis thread pool; the assembled
+  /// graph is bit-identical to the serial build.
   bool ParallelBuild = true;
   /// Worker count for the parallel build; 0 = hardware concurrency.
   unsigned Parallelism = 0;
-  /// Load a module-embedded PDG instead of rebuilding when its content
-  /// hash matches the module.
+  /// Split the module's pdg artifact into the per-function lists instead
+  /// of building them, while its content hash matches the module. Only
+  /// the precision pdgEmbed writes ("noelle" with mod/ref summaries)
+  /// reads it; other precisions always build.
   bool UseEmbedded = true;
 };
 
-/// Builds whole-program and per-scope dependence graphs.
+/// Builds whole-program and per-scope dependence graphs as views of one
+/// memoized edge list per function. Every result describes the IR as it
+/// was when the list was made: call invalidate() after mutating the
+/// module.
 class PDGBuilder {
 public:
   PDGBuilder(Module &M, PDGBuildOptions Opts = {});
   ~PDGBuilder();
 
-  /// The whole-program PDG (memoized). Loaded from embedded metadata
-  /// when present and verified; otherwise built — in parallel across
+  /// The whole-program PDG (memoized): every function's list, in module
+  /// order. Lists not yet made are built first — in parallel across
   /// functions unless the options say otherwise.
   PDG &getPDG();
 
-  /// True if the last getPDG() materialization came from the embedded
-  /// cache rather than a fresh build.
+  /// True if this builder's per-function lists came from the module's
+  /// pdg artifact rather than fresh builds.
   bool wasPDGLoadedFromEmbedded() const { return LoadedFromEmbedded; }
 
   /// Marks loop-carried flags on the whole-program PDG for every
@@ -111,10 +121,11 @@ public:
   /// internal; values flowing in/out (live-ins / live-outs) are external.
   std::unique_ptr<PDG> getLoopDG(LoopStructure &L);
 
-  /// Drops every memoized analysis result (the whole-program PDG, the
-  /// alias analyses, and the mod/ref summaries). Must be called after
-  /// the module is mutated: the memoized structures hold pointers into
-  /// the old IR. Fresh analyses are rebuilt lazily on the next query.
+  /// Drops every memoized analysis result (the per-function lists, the
+  /// whole-program PDG, the alias analyses, and the mod/ref summaries).
+  /// Must be called after the module is mutated: the memoized structures
+  /// hold pointers into the old IR. Fresh analyses are rebuilt lazily on
+  /// the next query.
   void invalidate();
 
   nir::AliasAnalysis &getAliasAnalysis() {
@@ -123,14 +134,28 @@ public:
   }
 
 private:
+  /// One function's dependence edges in build order, never refined
+  /// (only assembled graphs are), and the stats of their build.
+  struct FunctionDeps {
+    std::vector<PDG::EdgeT> Edges;
+    PDG::Stats Stats;
+  };
+
   void ensureAA();
-  void buildFunctionDeps(Function &F, PDG &G, PDG::Stats &Stats);
-  void buildControlDeps(Function &F, PDG &G);
-  /// Builds the whole-program graph serially (reference implementation).
-  void buildWholeSerial(PDG &G);
-  /// Builds per-function subgraphs on the analysis pool and merges them
-  /// in module function order, which reproduces the serial edge order.
-  void buildWholeParallel(PDG &G);
+  /// \p F's memoized list, split out of the artifact or built.
+  const FunctionDeps &depsOf(Function &F);
+  /// Builds the lists of \p Fns into Deps: one analysis-pool job each
+  /// when the options allow and there are several, else serially.
+  void buildDeps(const std::vector<Function *> &Fns);
+  void buildFunctionDeps(Function &F, FunctionDeps &D);
+  void buildControlDeps(Function &F, std::vector<PDG::EdgeT> &Edges);
+  /// On the first request since construction or invalidate(), splits a
+  /// current pdg artifact into one list per defined function.
+  void loadArtifact();
+  /// \p F's instructions as nodes — internal where \p L (or, when null,
+  /// the function) contains them — the arguments and globals they read
+  /// as external nodes with their register deps, then \p F's list.
+  std::unique_ptr<PDG> assembleView(Function &F, const LoopStructure *L);
 
   /// True if \p Call may read or write the memory reached through
   /// \p Ptr, given the interprocedural summaries.
@@ -143,8 +168,12 @@ private:
   PDGBuildOptions Opts;
   std::unique_ptr<nir::AliasAnalysis> AA;
   std::unique_ptr<nir::AndersenAliasAnalysis> SummaryAA; ///< for summaries
-  std::unique_ptr<PDG> WholePDG;
+  std::unordered_map<const Function *, FunctionDeps> Deps;
+  bool ArtifactChecked = false;
   bool LoadedFromEmbedded = false;
+  /// The artifact's whole-program stats; its lists carry none.
+  PDG::Stats ArtifactStats;
+  std::unique_ptr<PDG> WholePDG;
 
   /// Per-function transitive sets of abstract objects read/written.
   /// Fully populated by buildModRefSummaries before any parallel phase;

@@ -12,9 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -143,43 +141,6 @@ void commitJournal(const SpecJournal &J) {
 thread_local uint64_t ThreadSegmentWork = 0;
 thread_local uint64_t ThreadSegmentCheckpoint = 0;
 
-/// Per-engine memo of prepared task entries, shared by the dispatch
-/// externals registered on that engine. A plan whose parallel region
-/// sits inside an outer loop dispatches the same task function many
-/// times; resolving the decoded form once per plan (instead of once per
-/// dispatch) keeps the re-dispatch path free of decode-cache traffic.
-/// Guarded by a mutex because nested parallelism can dispatch from
-/// several worker threads at once.
-struct PrepareMemo {
-  std::mutex Lock;
-  /// Plan epoch the memo's entries were prepared under. UINT64_MAX marks
-  /// a fresh memo so the first dispatch always records the real epoch.
-  uint64_t Epoch = UINT64_MAX;
-  std::map<Function *, ExecutionEngine::PreparedFunction> Map;
-
-  ExecutionEngine::PreparedFunction resolve(ExecutionEngine &E,
-                                            Function *Task) {
-    std::lock_guard<std::mutex> G(Lock);
-    // Re-transforming the module under a new plan bumps its epoch;
-    // cached decoded entries from the old plan may point at replaced or
-    // deleted task bodies, so the whole memo is invalid.
-    uint64_t Cur = planEpochOf(*Task->getParent());
-    if (Cur != Epoch) {
-      Map.clear();
-      Epoch = Cur;
-    }
-    auto It = Map.find(Task);
-    if (It != Map.end()) {
-      telemetry::count(telemetry::Counter::PrepareMemoHit);
-      return It->second;
-    }
-    telemetry::count(telemetry::Counter::PrepareMemoMiss);
-    ExecutionEngine::PreparedFunction P = E.prepare(Task);
-    Map.emplace(Task, P);
-    return P;
-  }
-};
-
 /// Shared dispatch implementation. Tasks run on the engine's persistent
 /// pool; the caller blocks on the batch's completion latch instead of
 /// joining freshly spawned threads.
@@ -203,8 +164,8 @@ struct PrepareMemo {
 /// Accounting is unchanged — the misspeculation-free speculative path
 /// produces the same DispatchRecord a plain dispatch of the same task
 /// would.
-void runDispatch(ExecutionEngine &E, PrepareMemo &Memo, Function *Task,
-                 uint64_t EnvPtr, int64_t NumTasks, int64_t Grain,
+void runDispatch(ExecutionEngine &E, Function *Task, uint64_t EnvPtr,
+                 int64_t NumTasks, int64_t Grain,
                  SpecJournal *Journals = nullptr) {
   nir::DispatchRecord Rec;
   Rec.TaskName = Task->getName();
@@ -219,10 +180,9 @@ void runDispatch(ExecutionEngine &E, PrepareMemo &Memo, Function *Task,
   size_t N = static_cast<size_t>(NumTasks);
   std::vector<uint64_t> Work(N, 0), Sync(N, 0), Seg(N, 0);
 
-  // Resolve the task function's decoded form once per plan (memoized
-  // across dispatches); every task invocation then skips the
-  // decode-cache lookup entirely.
-  ExecutionEngine::PreparedFunction Prepared = Memo.resolve(E, Task);
+  // Resolve the task function's decoded form once per dispatch; every
+  // task invocation then skips the decode-cache lookup.
+  ExecutionEngine::PreparedFunction Prepared = E.prepare(Task);
 
   auto RunOne = [&, EnvPtr, NumTasks, Journals](int64_t T) {
     ExecutionEngine::resetThreadRetired();
@@ -263,19 +223,9 @@ void runDispatch(ExecutionEngine &E, PrepareMemo &Memo, Function *Task,
       Jobs.push_back([&RunOneTraced, T] { RunOneTraced(T); });
   } else {
     // Runner count: one per host core is enough, since runners never
-    // block and each drains chunks until the counter is exhausted. A
-    // plan may cap this lower (worker-count hint); absent or
-    // non-positive metadata leaves the default untouched.
-    int64_t RunnerCap = std::max(1u, Architecture::hostLogicalCores());
-    if (const nir::Module *M = Task->getParent();
-        M && M->hasModuleMetadata(PlanRunnersKey)) {
-      int64_t Hint =
-          std::strtoll(M->getModuleMetadata(PlanRunnersKey).c_str(),
-                       nullptr, 10);
-      if (Hint > 0)
-        RunnerCap = Hint;
-    }
-    int64_t Runners = std::min<int64_t>(NumTasks, RunnerCap);
+    // block and each drains chunks until the counter is exhausted.
+    int64_t Runners = std::min<int64_t>(
+        NumTasks, std::max(1u, Architecture::hostLogicalCores()));
     Jobs.reserve(static_cast<size_t>(Runners));
     for (int64_t R = 0; R < Runners; ++R)
       Jobs.push_back([&RunOne, &NextChunk, NumTasks, Grain] {
@@ -348,38 +298,23 @@ inline void gateWait(std::atomic<int64_t> *Gate, int64_t Iter) {
 
 } // namespace
 
-uint64_t noelle::planEpochOf(const nir::Module &M) {
-  if (!M.hasModuleMetadata(PlanEpochKey))
-    return 0;
-  return std::strtoull(M.getModuleMetadata(PlanEpochKey).c_str(), nullptr,
-                       10);
-}
-
-void noelle::bumpPlanEpoch(nir::Module &M) {
-  M.setModuleMetadata(PlanEpochKey, std::to_string(planEpochOf(M) + 1));
-}
-
 void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
-  // One memo per engine, shared by both dispatch entry points; its
-  // lifetime is tied to the registered closures.
-  auto Memo = std::make_shared<PrepareMemo>();
-
   Engine.registerExternal(
       "noelle_dispatch",
-      [Memo](ExecutionEngine &E, const CallInst *,
+      [](ExecutionEngine &E, const CallInst *,
              const std::vector<RuntimeValue> &A) {
         Function *Task = E.decodeFunction(A[0].P);
         if (!Task) {
           std::fprintf(stderr, "noelle_dispatch: invalid task pointer\n");
           std::abort();
         }
-        runDispatch(E, *Memo, Task, A[1].P, A[2].I, /*Grain=*/0);
+        runDispatch(E, Task, A[1].P, A[2].I, /*Grain=*/0);
         return RuntimeValue();
       });
 
   Engine.registerExternal(
       "noelle_dispatch_chunked",
-      [Memo](ExecutionEngine &E, const CallInst *,
+      [](ExecutionEngine &E, const CallInst *,
              const std::vector<RuntimeValue> &A) {
         Function *Task = E.decodeFunction(A[0].P);
         if (!Task) {
@@ -387,14 +322,14 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
                        "noelle_dispatch_chunked: invalid task pointer\n");
           std::abort();
         }
-        runDispatch(E, *Memo, Task, A[1].P, A[2].I,
+        runDispatch(E, Task, A[1].P, A[2].I,
                     std::max<int64_t>(A[3].I, 1));
         return RuntimeValue();
       });
 
   Engine.registerExternal(
       "noelle_dispatch_spec",
-      [Memo](ExecutionEngine &E, const CallInst *,
+      [](ExecutionEngine &E, const CallInst *,
              const std::vector<RuntimeValue> &A) {
         Function *Task = E.decodeFunction(A[0].P);
         Function *Seq = E.decodeFunction(A[1].P);
@@ -416,7 +351,7 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
         // Speculative run: every task defers its stores into a private
         // journal, so memory stays pristine until validation passes.
         std::vector<SpecJournal> Journals(static_cast<size_t>(NumTasks));
-        runDispatch(E, *Memo, Task, EnvPtr, NumTasks, Grain,
+        runDispatch(E, Task, EnvPtr, NumTasks, Grain,
                     Journals.data());
 
         // Validate: the speculation fails iff any task's written bytes

@@ -63,27 +63,6 @@
 
 namespace noelle {
 
-/// Module string-metadata key holding the monotonically increasing plan
-/// epoch. Every successful technique apply() bumps it; the runtime's
-/// prepared-task memo compares epochs on each dispatch and drops its
-/// cached decoded entries on mismatch, so re-transforming a module under
-/// a new plan never executes stale task bodies.
-inline constexpr const char *PlanEpochKey = "noelle.plan.epoch";
-
-/// Optional module string metadata capping the number of chunked-
-/// dispatch runner jobs (a planner worker-count hint). Absent or
-/// non-positive, runners default to one per host logical core —
-/// identical to the pre-planner behavior, including DispatchRecords.
-inline constexpr const char *PlanRunnersKey = "noelle.plan.runners";
-
-/// Current plan epoch of \p M (0 when the module was never transformed).
-uint64_t planEpochOf(const nir::Module &M);
-
-/// Advances \p M's plan epoch. Called by every technique apply() that
-/// mutates the module; module metadata does not feed the content hash,
-/// so bumping never invalidates the PDG cache or an embedded plan.
-void bumpPlanEpoch(nir::Module &M);
-
 /// Installs the parallel-runtime externals into \p Engine. Must be
 /// called before running a module transformed by DOALL/HELIX/DSWP.
 void registerParallelRuntime(nir::ExecutionEngine &Engine);

@@ -57,8 +57,6 @@ const char *const CounterNames[NumCounters] = {
     "runtime.dispatch.static",
     "runtime.dispatch.chunked",
     "runtime.dispatch.chunks",
-    "runtime.prepare_memo.hit",
-    "runtime.prepare_memo.miss",
     "runtime.ss_wait.fast",
     "runtime.ss_wait.stalled",
     "runtime.queue.push",

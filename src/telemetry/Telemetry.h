@@ -96,8 +96,6 @@ enum class Counter : uint16_t {
   DispatchStatic,    ///< noelle_dispatch calls (one job per task)
   DispatchChunked,   ///< noelle_dispatch_chunked calls
   DispatchChunks,    ///< chunks claimed by chunked-dispatch runners
-  PrepareMemoHit,    ///< prepared-task memo hits
-  PrepareMemoMiss,   ///< prepared-task memo misses (decode + prepare)
   SSWaitFast,        ///< ss_wait found the gate already open
   SSWaitStalled,     ///< ss_wait had to spin/park for the producer
   QueuePush,         ///< noelle_queue_push calls
@@ -112,9 +110,9 @@ enum class Counter : uint16_t {
   FuseSiteMulAdd,    ///< fused multiply-add sites emitted
   FuseSiteElided,    ///< producer instructions elided by fusion
   FuseFired,         ///< fused superinstructions executed (observed tier)
-  PDGEmbeddedHit,    ///< whole-program PDG served from embedded cache
-  PDGEmbeddedMiss,   ///< embedded cache absent/stale: full build
-  PDGFunctionsBuilt, ///< per-function sub-PDGs constructed
+  PDGEmbeddedHit,    ///< pdg artifact split into per-function lists
+  PDGEmbeddedMiss,   ///< pdg artifact absent/stale: lists get built
+  PDGFunctionsBuilt, ///< per-function dependence lists built
   PlanMeasured,      ///< plan entries with measured speedup written back
   PlanShortfall,     ///< measured speedup < 0.8x of the plan's estimate
   SpecCommits,       ///< speculative dispatches validated and committed
@@ -134,7 +132,7 @@ enum class Hist : uint8_t {
   SSWaitStallNs,     ///< time ss_wait spent waiting for its producer
   QueueOccupancy,    ///< DSWP queue depth sampled at push/pop
   DecodeNs,          ///< full-decode latency per function
-  PDGFnBuildNs,      ///< per-function sub-PDG build latency
+  PDGFnBuildNs,      ///< per-function dependence-list build latency
   kCount
 };
 

@@ -41,11 +41,11 @@ ProfileData tools::profCoverage(Module &M) {
 
 void tools::metaProfEmbed(Module &M, const ProfileData &P) { P.embed(M); }
 
-uint64_t tools::pdgEmbed(Module &M, const PDGBuildOptions &Opts) {
+uint64_t tools::pdgEmbed(Module &M) {
   // Never load an old record into the builder that is about to refresh
   // it: drop it first, then build (in parallel) and embed.
   nir::eraseArtifact(M, nir::ArtifactKind::PDG);
-  PDGBuilder Builder(M, Opts);
+  PDGBuilder Builder(M);
   PDG &G = Builder.getPDG();
   G.embed(M);
   return G.getEdges().size();

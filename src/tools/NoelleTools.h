@@ -47,14 +47,14 @@ ProfileData profCoverage(nir::Module &M);
 /// prof artifact (ProfileData::embed).
 void metaProfEmbed(nir::Module &M, const ProfileData &P);
 
-/// noelle-meta-pdg-embed: computes the whole-program PDG under the given
-/// options and stores it as the module's pdg artifact (PDG::embed,
+/// noelle-meta-pdg-embed: computes the whole-program PDG at the default
+/// precision and stores it as the module's pdg artifact (PDG::embed,
 /// ir/Artifact.h). The record survives the textual print/parse round
-/// trip: a later PDGBuilder (or noelle-load) loads the graph instead of
-/// re-running the alias analyses while the record's content hash
-/// matches, and rebuilds when the IR changed underneath it. Returns the
-/// number of edges embedded.
-uint64_t pdgEmbed(nir::Module &M, const PDGBuildOptions &Opts = {});
+/// trip: a later PDGBuilder (or noelle-load) at that precision splits it
+/// into its per-function lists instead of re-running the alias analyses
+/// while the record's content hash matches, and rebuilds when the IR
+/// changed underneath it. Returns the number of edges embedded.
+uint64_t pdgEmbed(nir::Module &M);
 
 /// noelle-meta-clean: removes every artifact record and every noelle.*
 /// function and instruction metadata entry. The compilation options

@@ -2,7 +2,6 @@
 
 #include "ir/Instructions.h"
 #include "ir/Verifier.h"
-#include "runtime/ParallelRuntime.h"
 #include "verify/CheckMetadata.h"
 
 #include <algorithm>
@@ -286,7 +285,6 @@ bool DOALL::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
   // Only the host function changed (the task bodies are new functions
   // with no cached analyses): keep every other function's bundles.
   N.invalidate(*HostF);
-  bumpPlanEpoch(M);
 
   assert(nir::moduleVerifies(M) && "DOALL produced invalid IR");
   D.Parallelized = true;

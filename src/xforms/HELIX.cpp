@@ -554,7 +554,6 @@ bool HELIX::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
   // Only the host function changed (the task bodies are new functions
   // with no cached analyses): keep every other function's bundles.
   N.invalidate(*HostF);
-  bumpPlanEpoch(M);
   assert(nir::moduleVerifies(M) && "HELIX produced invalid IR");
   D.Parallelized = true;
   D.Workers = Workers;

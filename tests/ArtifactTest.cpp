@@ -57,8 +57,12 @@ std::string renderPDG(const PDG &G) {
   std::string Out = std::to_string(G.getStats().MemoryPairsQueried) + "," +
                     std::to_string(G.getStats().MemoryPairsDisproved);
   for (const testutil::EdgeKey &K : testutil::edgeKeysOf(G))
-    std::apply([&Out](auto... F) { ((Out += " " + std::to_string(F)), ...); },
-               K);
+    std::apply(
+        [&Out](const std::string &From, const std::string &To, auto... F) {
+          Out += " " + From + " " + To;
+          ((Out += " " + std::to_string(F)), ...);
+        },
+        K);
   return Out;
 }
 

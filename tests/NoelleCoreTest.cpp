@@ -153,9 +153,10 @@ TEST(PDGTest, IVIndexedArrayStoreIsNotLoopCarried) {
     auto *FromI = nir::dyn_cast<Instruction>(E->From);
     auto *ToI = nir::dyn_cast<Instruction>(E->To);
     if (FromI && ToI && F.LC->getLoopStructure().contains(FromI) &&
-        F.LC->getLoopStructure().contains(ToI))
+        F.LC->getLoopStructure().contains(ToI)) {
       EXPECT_FALSE(E->IsLoopCarried)
           << "a[i] self-dependence should not be loop-carried";
+    }
   }
 }
 

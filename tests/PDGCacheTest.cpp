@@ -3,8 +3,10 @@
 /// \file
 /// The PDG construction/caching contract: the parallel per-function
 /// build produces exactly the serial edge sequence on every suite
-/// kernel, the embedded form survives the textual print/parse
-/// round-trip, a mutated module rejects its stale cache, and the Noelle
+/// kernel, function and loop graphs split out of the embedded form equal
+/// those of a cold build, the embedded form survives the textual
+/// print/parse round-trip, a mutated module or a weaker precision
+/// rejects it, loop requests build each function once, and the Noelle
 /// manager's invalidation drops whole-program state while keeping
 /// untouched functions' analyses alive.
 ///
@@ -17,6 +19,8 @@
 #include "ir/Constants.h"
 #include "ir/IDs.h"
 #include "ir/Parser.h"
+#include "opt/Passes.h"
+#include "telemetry/Telemetry.h"
 #include "tools/NoelleTools.h"
 #include "xforms/DOALL.h"
 
@@ -27,6 +31,8 @@ using nir::Context;
 
 namespace {
 
+using testutil::EdgeKey;
+using testutil::edgeKeysOf;
 using testutil::keyOf;
 
 PDGBuildOptions parallelOpts(unsigned Parallelism) {
@@ -68,6 +74,58 @@ TEST_P(PDGParallelSuite, ParallelMatchesSerial) {
             GP.getStats().MemoryPairsDisproved);
 }
 
+/// The edges of every function graph of \p M and, after each, of its
+/// loops' graphs (preorder), as \p B assembles them.
+std::vector<std::vector<EdgeKey>> viewKeysOf(nir::Module &M, PDGBuilder &B) {
+  std::vector<std::vector<EdgeKey>> Out;
+  for (const auto &F : M.getFunctions()) {
+    if (F->isDeclaration())
+      continue;
+    Out.push_back(edgeKeysOf(*B.getFunctionDG(*F)));
+    nir::DominatorTree DT(*F);
+    nir::LoopInfo LI(*F, DT);
+    for (nir::LoopStructure *L : LI.getLoopsInPreorder())
+      Out.push_back(edgeKeysOf(*B.getLoopDG(*L)));
+  }
+  return Out;
+}
+
+/// Expects \p B's whole-program, function and loop graphs of \p M to
+/// equal those of a build at the same precision that ignores the pdg
+/// artifact.
+void expectEqualsColdViews(nir::Module &M, PDGBuilder &B,
+                           PDGBuildOptions Opts, const std::string &What) {
+  Opts.UseEmbedded = false;
+  PDGBuilder Cold(M, Opts);
+  EXPECT_EQ(edgeKeysOf(B.getPDG()), edgeKeysOf(Cold.getPDG())) << What;
+  auto Views = viewKeysOf(M, B);
+  auto ColdViews = viewKeysOf(M, Cold);
+  ASSERT_EQ(Views.size(), ColdViews.size()) << What;
+  for (size_t I = 0; I < Views.size(); ++I)
+    EXPECT_EQ(Views[I], ColdViews[I]) << What << ", graph " << I;
+}
+
+class PDGViewSuite : public ::testing::TestWithParam<const char *> {};
+
+/// Function and loop graphs assembled from the lists split out of the
+/// pdg artifact equal those of a cold build — same edges, order,
+/// loop-carried flags and distances — before and after the optimizer.
+TEST_P(PDGViewSuite, ArtifactViewsMatchColdBuild) {
+  const bench::Benchmark *B = bench::findBenchmark(GetParam());
+  ASSERT_NE(B, nullptr);
+  for (bool Optimize : {false, true}) {
+    Context Ctx;
+    auto M = minic::compileMiniCOrDie(Ctx, B->Source);
+    if (Optimize)
+      opt::runPipeline(*M);
+    tools::pdgEmbed(*M);
+    PDGBuilder Loaded(*M);
+    expectEqualsColdViews(*M, Loaded, {},
+                          B->Name + (Optimize ? " after opt" : ""));
+    EXPECT_TRUE(Loaded.wasPDGLoadedFromEmbedded());
+  }
+}
+
 std::vector<const char *> allBenchmarkNames() {
   std::vector<const char *> Names;
   for (const auto &B : bench::getBenchmarkSuite())
@@ -80,6 +138,61 @@ INSTANTIATE_TEST_SUITE_P(All, PDGParallelSuite,
                          [](const ::testing::TestParamInfo<const char *> &I) {
                            return std::string(I.param);
                          });
+INSTANTIATE_TEST_SUITE_P(All, PDGViewSuite,
+                         ::testing::ValuesIn(allBenchmarkNames()),
+                         [](const ::testing::TestParamInfo<const char *> &I) {
+                           return std::string(I.param);
+                         });
+
+/// The pdg artifact holds what the default precision proves. A weaker
+/// builder that adopted it would report edges its own analyses cannot
+/// disprove as absent (on fft, 141 edges instead of 145).
+TEST(PDGCacheTest, WeakerPrecisionIgnoresArtifact) {
+  const bench::Benchmark *B = bench::findBenchmark("fft");
+  ASSERT_NE(B, nullptr);
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, B->Source);
+  tools::pdgEmbed(*M);
+
+  PDGBuildOptions Weak;
+  Weak.AliasAnalysisName = "llvm";
+  Weak.UseModRefSummaries = false;
+  PDGBuilder Builder(*M, Weak);
+  expectEqualsColdViews(*M, Builder, Weak, "fft at llvm precision");
+  EXPECT_FALSE(Builder.wasPDGLoadedFromEmbedded());
+}
+
+/// A loop request builds its function's list once, however many loops
+/// the function has, and builds nothing when the pdg artifact is
+/// current.
+TEST(PDGCacheTest, LoopRequestsBuildEachFunctionOnce) {
+  const telemetry::Mode Saved = telemetry::mode();
+  telemetry::setMode(telemetry::Mode::Metrics);
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, R"(
+    int a[64];
+    int main() {
+      for (int i = 0; i < 64; i = i + 1) a[i] = i * 3;
+      int s = 0;
+      for (int i = 0; i < 64; i = i + 1) s = s + a[i];
+      return s;
+    }
+  )");
+  // (functions built, artifact loads) of one getLoopContents.
+  auto LoopRequest = [&] {
+    telemetry::resetMetrics();
+    Noelle N(*M);
+    EXPECT_EQ(N.getLoopContents().size(), 2u);
+    const auto Snap = telemetry::snapshotMetrics();
+    return std::pair(Snap.counter(telemetry::Counter::PDGFunctionsBuilt),
+                     Snap.counter(telemetry::Counter::PDGEmbeddedHit));
+  };
+  EXPECT_EQ(LoopRequest(), (std::pair<uint64_t, uint64_t>(1, 0)));
+  tools::pdgEmbed(*M);
+  EXPECT_EQ(LoopRequest(), (std::pair<uint64_t, uint64_t>(0, 1)));
+  telemetry::setMode(Saved);
+  telemetry::resetMetrics();
+}
 
 TEST(PDGCacheTest, EmbedPrintParseLoadRoundTrip) {
   const bench::Benchmark *B = bench::findBenchmark("blackscholes");

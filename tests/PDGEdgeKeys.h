@@ -15,17 +15,27 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
 namespace testutil {
 
-using EdgeKey = std::tuple<uint64_t, uint64_t, bool, int, bool, bool, bool,
-                           int64_t>;
+/// An edge endpoint: an instruction's deterministic ID, or the name of
+/// an argument or global (the external nodes of function and loop
+/// graphs).
+inline std::string endpointOf(const nir::Value *V) {
+  if (nir::isa<nir::Instruction>(V))
+    return std::to_string(nir::instIDOf(V).value());
+  return "@" + V->getName();
+}
+
+using EdgeKey = std::tuple<std::string, std::string, bool, int, bool, bool,
+                           bool, int64_t>;
 
 inline EdgeKey keyOf(const noelle::DependenceEdge<nir::Value> *E) {
-  return {nir::instIDOf(E->From).value(),
-          nir::instIDOf(E->To).value(),
+  return {endpointOf(E->From),
+          endpointOf(E->To),
           E->IsControl,
           static_cast<int>(E->Kind),
           E->IsMemory,

@@ -149,8 +149,9 @@ exit:
   LoopScheduler LS(DG, N.getDominators(*F), *LI.getTopLevelLoops()[0]);
   EXPECT_GT(LS.shrinkHeader(), 0u);
   for (auto &BB : F->getBlocks())
-    if (BB->getName() == "header")
+    if (BB->getName() == "header") {
       EXPECT_LT(static_cast<int64_t>(BB->size()), HeaderSizeBefore);
+    }
   EXPECT_TRUE(nir::moduleVerifies(*M));
 }
 

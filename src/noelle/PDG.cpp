@@ -240,8 +240,11 @@ void PDGBuilder::buildFunctionDeps(Function &F, FunctionDeps &D) {
   PDG::Stats &Stats = D.Stats;
   auto MemDep = [&Out](Instruction *From, Instruction *To, DataDepKind Kind,
                        bool Must) {
-    Out.push_back(
-        {.From = From, .To = To, .Kind = Kind, .IsMemory = true, .IsMust = Must});
+    Out.push_back({.From = From,
+                   .To = To,
+                   .Kind = Kind,
+                   .IsMemory = true,
+                   .IsMust = Must});
   };
 
   // Register dependences from SSA def-use chains. An instruction's
@@ -671,18 +674,8 @@ void PDGBuilder::loadArtifact() {
   for (const auto &F : M.getFunctions())
     if (!F->isDeclaration())
       Deps[F.get()];
-  // A record lists each function's edges together, so consecutive edges
-  // mostly share their list.
-  const Function *Last = nullptr;
-  std::vector<PDG::EdgeT> *List = nullptr;
-  for (const PDG::EdgeT &E : Edges) {
-    const Function *F = nir::cast<Instruction>(E.From)->getFunction();
-    if (F != Last) {
-      Last = F;
-      List = &Deps.at(F).Edges;
-    }
-    List->push_back(E);
-  }
+  for (const PDG::EdgeT &E : Edges)
+    Deps.at(nir::cast<Instruction>(E.From)->getFunction()).Edges.push_back(E);
 }
 
 //===----------------------------------------------------------------------===//

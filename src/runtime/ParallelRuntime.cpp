@@ -302,7 +302,7 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
   Engine.registerExternal(
       "noelle_dispatch",
       [](ExecutionEngine &E, const CallInst *,
-             const std::vector<RuntimeValue> &A) {
+         const std::vector<RuntimeValue> &A) {
         Function *Task = E.decodeFunction(A[0].P);
         if (!Task) {
           std::fprintf(stderr, "noelle_dispatch: invalid task pointer\n");
@@ -315,22 +315,21 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
   Engine.registerExternal(
       "noelle_dispatch_chunked",
       [](ExecutionEngine &E, const CallInst *,
-             const std::vector<RuntimeValue> &A) {
+         const std::vector<RuntimeValue> &A) {
         Function *Task = E.decodeFunction(A[0].P);
         if (!Task) {
           std::fprintf(stderr,
                        "noelle_dispatch_chunked: invalid task pointer\n");
           std::abort();
         }
-        runDispatch(E, Task, A[1].P, A[2].I,
-                    std::max<int64_t>(A[3].I, 1));
+        runDispatch(E, Task, A[1].P, A[2].I, std::max<int64_t>(A[3].I, 1));
         return RuntimeValue();
       });
 
   Engine.registerExternal(
       "noelle_dispatch_spec",
       [](ExecutionEngine &E, const CallInst *,
-             const std::vector<RuntimeValue> &A) {
+         const std::vector<RuntimeValue> &A) {
         Function *Task = E.decodeFunction(A[0].P);
         Function *Seq = E.decodeFunction(A[1].P);
         if (!Task || !Seq) {
@@ -351,8 +350,7 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
         // Speculative run: every task defers its stores into a private
         // journal, so memory stays pristine until validation passes.
         std::vector<SpecJournal> Journals(static_cast<size_t>(NumTasks));
-        runDispatch(E, Task, EnvPtr, NumTasks, Grain,
-                    Journals.data());
+        runDispatch(E, Task, EnvPtr, NumTasks, Grain, Journals.data());
 
         // Validate: the speculation fails iff any task's written bytes
         // overlap another task's read or written bytes — exactly the

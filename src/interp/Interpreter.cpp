@@ -1,5 +1,6 @@
 #include "interp/Interpreter.h"
 
+#include "interp/SpecJournal.h"
 #include "runtime/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
@@ -53,6 +54,10 @@ FrameRegistry &frameRegistry() {
 }
 
 thread_local uint64_t ThreadRetired = 0;
+
+/// Journal of the speculative task running on this thread (null outside
+/// speculative dispatches).
+thread_local SpecJournal *ThreadJournal = nullptr;
 
 } // namespace
 
@@ -129,6 +134,34 @@ struct ExecutionEngine::DecodedFunction {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// One noelle_spec_* accessor and the memory opcode its calls decode to.
+struct SpecAccessor {
+  const char *Name;
+  Opc Op;
+  bool Store; ///< (ptr, value) -> void; a load is (ptr) -> value
+};
+
+/// The accessor a call to \p Callee with \p NumArgs arguments is, or
+/// null when it is none.
+const SpecAccessor *specAccessor(const Function *Callee, unsigned NumArgs) {
+  static const SpecAccessor Accessors[] = {
+      {"noelle_spec_load_i8", Opc::SpecLd1, false},
+      {"noelle_spec_load_i32", Opc::SpecLd4, false},
+      {"noelle_spec_load_i64", Opc::SpecLd8, false},
+      {"noelle_spec_load_f64", Opc::SpecLd8, false},
+      {"noelle_spec_store_i8", Opc::SpecSt1, true},
+      {"noelle_spec_store_i32", Opc::SpecSt4, true},
+      {"noelle_spec_store_i64", Opc::SpecSt8, true},
+      {"noelle_spec_store_f64", Opc::SpecSt8, true},
+  };
+  if (!Callee || !Callee->isDeclaration())
+    return nullptr;
+  for (const SpecAccessor &S : Accessors)
+    if (Callee->getName() == S.Name)
+      return NumArgs == (S.Store ? 2u : 1u) ? &S : nullptr;
+  return nullptr;
+}
 
 uint8_t memSizeOf(const Type *Ty) {
   switch (Ty->getKind()) {
@@ -1015,12 +1048,25 @@ ExecutionEngine::DecodedFunction &ExecutionEngine::getDecoded(Function *F) {
       }
       case Value::Kind::Call: {
         const auto *CI = cast<CallInst>(I);
+        Function *Callee = CI->getCalledFunction();
+        // A speculative accessor decodes to a memory opcode with Ld/St's
+        // operand layout: a load's address in A; a store's value in A,
+        // its address in B.
+        if (const SpecAccessor *S = specAccessor(Callee, CI->getNumArgs())) {
+          D.Op = S->Op;
+          if (S->Store) {
+            D.A = OperandReg(CI->getArg(1));
+            D.B = OperandReg(CI->getArg(0));
+          } else {
+            D.A = OperandReg(CI->getArg(0));
+          }
+          break;
+        }
         D.OrigSoFar = NumPhis + MyIdx + 1;
         D.ArgsB = static_cast<uint32_t>(DF->ArgPool.size());
         for (unsigned A = 0, E = CI->getNumArgs(); A != E; ++A)
           DF->ArgPool.push_back(OperandReg(CI->getArg(A)));
         D.ArgsE = static_cast<uint32_t>(DF->ArgPool.size());
-        Function *Callee = CI->getCalledFunction();
         if (!Callee) {
           D.Op = Opc::CallIndirect;
           D.A = OperandReg(CI->getCalleeOperand());
@@ -1301,6 +1347,8 @@ void ExecutionEngine::appendOutput(const std::string &S) {
 void ExecutionEngine::resetThreadRetired() { ThreadRetired = 0; }
 
 uint64_t ExecutionEngine::readThreadRetired() { return ThreadRetired; }
+
+void ExecutionEngine::setThreadJournal(SpecJournal *J) { ThreadJournal = J; }
 
 void ExecutionEngine::recordDispatch(const DispatchRecord &R) {
   std::lock_guard<std::mutex> Lock(DispatchMutex);

@@ -39,6 +39,7 @@ namespace nir {
 
 class ThreadPool;
 class QueueRegistry;
+class SpecJournal;
 
 /// A runtime value: one 64-bit slot interpreted per the static type.
 union RuntimeValue {
@@ -190,6 +191,11 @@ public:
   /// task to attribute work to it).
   static void resetThreadRetired();
   static uint64_t readThreadRetired();
+
+  /// Routes the calling thread's speculative accesses (the decoded
+  /// noelle_spec_* accessors) through \p J; null makes them plain loads
+  /// and stores.
+  static void setThreadJournal(SpecJournal *J);
 
   /// Parallel-region accounting (appended by the parallel runtime).
   void recordDispatch(const DispatchRecord &R);

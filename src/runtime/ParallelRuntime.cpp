@@ -1,9 +1,9 @@
 #include "runtime/ParallelRuntime.h"
 
+#include "interp/SpecJournal.h"
 #include "ir/Instructions.h"
 #include "noelle/Architecture.h"
 #include "runtime/ThreadPool.h"
-#include "support/PageMap.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -11,10 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 using namespace noelle;
@@ -22,6 +19,7 @@ using nir::CallInst;
 using nir::ExecutionEngine;
 using nir::Function;
 using nir::RuntimeValue;
+using nir::SpecJournal;
 using nir::ThreadPool;
 namespace telemetry = noelle::telemetry;
 
@@ -32,109 +30,10 @@ namespace {
 /// performance model.
 thread_local uint64_t ThreadSyncOps = 0;
 
-/// One 4 KiB page of a speculative task's journal: the bytes the task
-/// stored there and byte bitmaps of what it wrote and read.
-struct JournalPage {
-  static constexpr unsigned Bits = 12;
-  static constexpr unsigned Words = (1u << Bits) / 64;
-  uint64_t Written[Words] = {};
-  uint64_t Read[Words] = {};
-  uint8_t Data[1u << Bits];
-};
-using JournalPages = nir::PageMap<JournalPage, JournalPage::Bits>;
-
-/// Per-logical-task journal backing speculative DOALL. Speculative task
-/// clones route every (non-task-private) load and store through the
-/// noelle_spec_* externals; stores are deferred into the journal's pages
-/// (byte-granular, read-your-own-writes) and every byte touched is marked
-/// for the commit-time conflict check. Aligned to a cache line so
-/// neighbouring tasks' journals do not share one.
-struct alignas(64) SpecJournal {
-  JournalPages Pages;
-};
-
-/// Journal of the speculative task currently executing on this thread
-/// (null outside speculative dispatches — the spec externals then
-/// degrade to plain memory accesses, so a speculative task body stays
-/// executable standalone).
-thread_local SpecJournal *CurSpecJournal = nullptr;
-
-/// Reads \p Bytes bytes at \p Addr through the current journal:
-/// journaled bytes win over memory (read-your-own-writes), and each byte
-/// is marked read.
-void specLoadBytes(uint64_t Addr, unsigned Bytes, uint8_t *Out) {
-  std::memcpy(Out, reinterpret_cast<const void *>(Addr), Bytes);
-  SpecJournal *J = CurSpecJournal;
-  if (!J)
-    return;
-  for (unsigned I = 0; I < Bytes; ++I) {
-    JournalPage &P = J->Pages.page(Addr + I);
-    const uint64_t Off = JournalPages::offset(Addr + I);
-    const uint64_t Bit = uint64_t(1) << (Off % 64);
-    P.Read[Off / 64] |= Bit;
-    if (P.Written[Off / 64] & Bit)
-      Out[I] = P.Data[Off];
-  }
-}
-
-/// Defers a store of \p Bytes bytes into the current journal (or writes
-/// through when no speculative dispatch is active).
-void specStoreBytes(uint64_t Addr, unsigned Bytes, const uint8_t *Src) {
-  SpecJournal *J = CurSpecJournal;
-  if (!J) {
-    std::memcpy(reinterpret_cast<void *>(Addr), Src, Bytes);
-    return;
-  }
-  for (unsigned I = 0; I < Bytes; ++I) {
-    JournalPage &P = J->Pages.page(Addr + I);
-    const uint64_t Off = JournalPages::offset(Addr + I);
-    P.Written[Off / 64] |= uint64_t(1) << (Off % 64);
-    P.Data[Off] = Src[I];
-  }
-}
-
-/// True when some task's written bytes overlap another task's read or
-/// written bytes. Each task's pages are checked against the union of the
-/// bitmaps the earlier tasks left on the same page, so one pass over all
-/// pages covers every pair of tasks.
-bool journalsConflict(const std::vector<SpecJournal> &Journals) {
-  struct Seen {
-    uint64_t Written[JournalPage::Words] = {};
-    uint64_t Read[JournalPage::Words] = {};
-  };
-  std::unordered_map<uint64_t, Seen> Union;
-  for (const SpecJournal &J : Journals)
-    for (const auto &[PageNo, P] : J.Pages) {
-      Seen &U = Union[PageNo];
-      for (unsigned K = 0; K < JournalPage::Words; ++K) {
-        if ((P->Written[K] & (U.Written[K] | U.Read[K])) |
-            (P->Read[K] & U.Written[K]))
-          return true;
-        U.Written[K] |= P->Written[K];
-        U.Read[K] |= P->Read[K];
-      }
-    }
-  return false;
-}
-
-/// Copies a journal's written bytes to memory: a whole 64-byte run when
-/// its mask word is full, the marked bytes otherwise.
-void commitJournal(const SpecJournal &J) {
-  for (const auto &[PageNo, P] : J.Pages) {
-    auto *Base = reinterpret_cast<uint8_t *>(JournalPages::base(PageNo));
-    for (unsigned K = 0; K < JournalPage::Words; ++K) {
-      uint64_t M = P->Written[K];
-      if (M == ~uint64_t(0)) {
-        std::memcpy(Base + K * 64, P->Data + K * 64, 64);
-        continue;
-      }
-      for (; M; M &= M - 1) {
-        const unsigned B = K * 64 + static_cast<unsigned>(__builtin_ctzll(M));
-        Base[B] = P->Data[B];
-      }
-    }
-  }
-}
+/// Journals of the speculative dispatches this thread makes, kept with
+/// their pages between dispatches. A dispatch takes the whole set and
+/// puts it back when it ends, so two dispatches never share a journal.
+thread_local std::vector<SpecJournal> DispatcherJournals;
 
 /// Segment-work accounting: noelle_ss_wait checkpoints the thread's
 /// retired-instruction counter; noelle_ss_signal accumulates the delta.
@@ -160,7 +59,7 @@ thread_local uint64_t ThreadSegmentCheckpoint = 0;
 /// inputs are byte-identical across scheduling strategies.
 /// \p Journals, when non-null, points at NumTasks speculative journals;
 /// logical task T runs with Journals[T] installed as the thread's
-/// current journal so the noelle_spec_* externals defer its stores.
+/// journal, so its speculative accesses defer its stores.
 /// Accounting is unchanged — the misspeculation-free speculative path
 /// produces the same DispatchRecord a plain dispatch of the same task
 /// would.
@@ -189,12 +88,12 @@ void runDispatch(ExecutionEngine &E, Function *Task, uint64_t EnvPtr,
     ThreadSyncOps = 0;
     ThreadSegmentWork = 0;
     if (Journals)
-      CurSpecJournal = &Journals[static_cast<size_t>(T)];
+      ExecutionEngine::setThreadJournal(&Journals[static_cast<size_t>(T)]);
     E.runPrepared(Prepared, {RuntimeValue::ofPtr(EnvPtr),
                              RuntimeValue::ofInt(T),
                              RuntimeValue::ofInt(NumTasks)});
     if (Journals)
-      CurSpecJournal = nullptr;
+      ExecutionEngine::setThreadJournal(nullptr);
     Work[static_cast<size_t>(T)] = ExecutionEngine::readThreadRetired();
     Sync[static_cast<size_t>(T)] = ThreadSyncOps;
     Seg[static_cast<size_t>(T)] = ThreadSegmentWork;
@@ -349,23 +248,35 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
 
         // Speculative run: every task defers its stores into a private
         // journal, so memory stays pristine until validation passes.
-        std::vector<SpecJournal> Journals(static_cast<size_t>(NumTasks));
+        const size_t N = static_cast<size_t>(NumTasks);
+        std::vector<SpecJournal> Journals = std::move(DispatcherJournals);
+        if (Journals.size() < N)
+          Journals.resize(N);
         runDispatch(E, Task, EnvPtr, NumTasks, Grain, Journals.data());
 
         // Validate: the speculation fails iff any task's written bytes
         // overlap another task's read or written bytes — exactly the
         // loop-carried dependences the plan speculated away manifesting
         // across the task partition.
-        const uint64_t ValT0 =
-            telemetry::traceEnabled() ? telemetry::nowNs() : 0;
-        if (!journalsConflict(Journals)) {
+        const bool Traced = telemetry::traceEnabled();
+        const uint64_t ValT0 = Traced ? telemetry::nowNs() : 0;
+        const bool Conflict = nir::journalsConflict(Journals.data(), N);
+        const uint64_t ValT1 = Traced ? telemetry::nowNs() : 0;
+        if (Traced)
+          telemetry::traceSpan("spec.validate", ValT0, ValT1,
+                               {"tasks", NumTasks});
+
+        if (!Conflict) {
           // Commit: journals hold disjoint written bytes (no write-write
           // overlap), so replay order across tasks is immaterial.
-          for (const SpecJournal &J : Journals)
-            commitJournal(J);
+          for (size_t T = 0; T < N; ++T) {
+            Journals[T].commit();
+            Journals[T].recycle();
+          }
+          DispatcherJournals = std::move(Journals);
           telemetry::count(telemetry::Counter::SpecCommits);
-          if (ValT0)
-            telemetry::traceSpan("spec.commit", ValT0, telemetry::nowNs(),
+          if (Traced)
+            telemetry::traceSpan("spec.commit", ValT1, telemetry::nowNs(),
                                  {"tasks", NumTasks});
           return RuntimeValue();
         }
@@ -375,92 +286,15 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
         // uninstrumented clone. Output and memory end up byte-identical
         // to a never-parallelized run.
         telemetry::count(telemetry::Counter::SpecMisspeculations);
-        if (ValT0)
-          telemetry::traceSpan("spec.rollback", ValT0, telemetry::nowNs(),
-                               {"tasks", NumTasks});
-        Journals.clear();
+        for (size_t T = 0; T < N; ++T)
+          Journals[T].recycle();
+        DispatcherJournals = std::move(Journals);
         E.runFunction(Seq, {RuntimeValue::ofPtr(EnvPtr),
                             RuntimeValue::ofInt(0),
                             RuntimeValue::ofInt(1)});
-        return RuntimeValue();
-      });
-
-  // Typed speculative memory accessors. Width/extension semantics match
-  // the interpreter's raw Ld/St opcodes exactly (i8 zero-extends, i32
-  // sign-extends), so an instrumented task computes the same values its
-  // uninstrumented original would.
-  Engine.registerExternal(
-      "noelle_spec_load_i8",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        uint8_t B;
-        specLoadBytes(A[0].P, 1, &B);
-        return RuntimeValue::ofInt(static_cast<int64_t>(B));
-      });
-  Engine.registerExternal(
-      "noelle_spec_load_i32",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        uint8_t B[4];
-        specLoadBytes(A[0].P, 4, B);
-        int32_t V;
-        std::memcpy(&V, B, 4);
-        return RuntimeValue::ofInt(static_cast<int64_t>(V));
-      });
-  Engine.registerExternal(
-      "noelle_spec_load_i64",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        uint8_t B[8];
-        specLoadBytes(A[0].P, 8, B);
-        int64_t V;
-        std::memcpy(&V, B, 8);
-        return RuntimeValue::ofInt(V);
-      });
-  Engine.registerExternal(
-      "noelle_spec_load_f64",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        uint8_t B[8];
-        specLoadBytes(A[0].P, 8, B);
-        double V;
-        std::memcpy(&V, B, 8);
-        return RuntimeValue::ofFloat(V);
-      });
-  Engine.registerExternal(
-      "noelle_spec_store_i8",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        uint8_t B = static_cast<uint8_t>(A[1].I);
-        specStoreBytes(A[0].P, 1, &B);
-        return RuntimeValue();
-      });
-  Engine.registerExternal(
-      "noelle_spec_store_i32",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        int32_t V = static_cast<int32_t>(A[1].I);
-        uint8_t B[4];
-        std::memcpy(B, &V, 4);
-        specStoreBytes(A[0].P, 4, B);
-        return RuntimeValue();
-      });
-  Engine.registerExternal(
-      "noelle_spec_store_i64",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        uint8_t B[8];
-        std::memcpy(B, &A[1].I, 8);
-        specStoreBytes(A[0].P, 8, B);
-        return RuntimeValue();
-      });
-  Engine.registerExternal(
-      "noelle_spec_store_f64",
-      [](ExecutionEngine &, const CallInst *,
-         const std::vector<RuntimeValue> &A) {
-        uint8_t B[8];
-        std::memcpy(B, &A[1].F, 8);
-        specStoreBytes(A[0].P, 8, B);
+        if (Traced)
+          telemetry::traceSpan("spec.rollback", ValT1, telemetry::nowNs(),
+                               {"tasks", NumTasks});
         return RuntimeValue();
       });
 

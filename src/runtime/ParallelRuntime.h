@@ -5,7 +5,8 @@
 /// onto the engine's persistent work-stealing thread pool (DOALL/HELIX/
 /// DSWP), HELIX sequential-segment synchronization, and DSWP inter-core
 /// queues. Transformed IR calls these as external functions;
-/// registerParallelRuntime installs them into an ExecutionEngine.
+/// registerParallelRuntime installs them into an ExecutionEngine, all
+/// but the noelle_spec_* accessors, which the interpreter decodes.
 ///
 /// IR-visible API (all i64/ptr):
 ///   noelle_dispatch(ptr task, ptr env, i64 numTasks) -> void
@@ -23,23 +24,29 @@
 ///                        i64 grain) -> void
 ///       Speculative DOALL dispatch. Runs task(env, t, numTasks) like
 ///       noelle_dispatch_chunked, but each logical task defers its
-///       stores into a private write-log journal (the task body routes
-///       memory accesses through the noelle_spec_* accessors below) and
-///       marks every byte it read/wrote. At the join the runtime
-///       validates the speculation: if no task's written bytes overlap
-///       another task's read or written bytes, the journals commit and
-///       execution is indistinguishable from a legal DOALL; otherwise
-///       all journals are discarded (memory was never touched) and the
-///       region re-executes sequentially via seq(env, 0, 1), the
-///       uninstrumented clone — output byte-identical to a
-///       never-parallelized run. grain <= 0 selects static dispatch.
+///       stores into a private write-log journal (interp/SpecJournal.h;
+///       the task body routes memory accesses through the noelle_spec_*
+///       accessors below) and marks every byte it read/wrote. At the
+///       join the runtime validates the speculation: if no task's
+///       written bytes overlap another task's read or written bytes, the
+///       journals commit and execution is indistinguishable from a
+///       legal DOALL; otherwise all journals are discarded (memory was
+///       never touched) and the region re-executes sequentially via
+///       seq(env, 0, 1), the uninstrumented clone — output
+///       byte-identical to a never-parallelized run. Either way the
+///       journals' pages return to a free list the dispatching thread
+///       keeps for its next speculative dispatch, so a journal holds at
+///       most the pages one dispatch touched. grain <= 0 selects static
+///       dispatch.
 ///   noelle_spec_load_i8/i32/i64/f64(ptr) -> i64/f64
 ///   noelle_spec_store_i8/i32/i64/f64(ptr, v) -> void
-///       Journal-aware memory accessors used inside speculative tasks;
-///       width and extension semantics match the raw Ld/St opcodes (i8
-///       zero-extends, i32 sign-extends). Loads see the task's own
-///       deferred writes; outside a speculative dispatch they degrade
-///       to plain memory accesses.
+///       Journal-aware memory accessors used inside speculative tasks.
+///       They are declared here but not registered: the interpreter
+///       decodes each call into a SpecLd/SpecSt opcode that reaches the
+///       journal of the task running on its thread. Width and extension
+///       semantics match the raw Ld/St opcodes (i8 zero-extends, i32
+///       sign-extends). Loads see the task's own deferred writes;
+///       outside a speculative dispatch they are plain memory accesses.
 ///   noelle_ss_create(i64 count) -> ptr
 ///       Allocates `count` sequential-segment gates, all at iteration 0.
 ///   noelle_ss_wait(ptr gates, i64 ss, i64 iteration) -> void

@@ -7,23 +7,28 @@
 /// same results, same output, same retired-instruction counts — across
 /// every dispatch tier; DispatchRecords must be identical across tiers
 /// for parallelized programs; the observed tier must report the same
-/// profile regardless of decode optimization; and the retirement flush
+/// profile regardless of decode optimization; the retirement flush
 /// protocol must expose identical counts at every external-call
-/// boundary.
+/// boundary; and the decoded speculative accessors must be plain memory
+/// accesses outside a speculative dispatch.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "frontend/MiniC.h"
 #include "interp/Interpreter.h"
+#include "noelle/MemDepProfiler.h"
 #include "noelle/Profiler.h"
 #include "runtime/ParallelRuntime.h"
+#include "verify/CheckMetadata.h"
 #include "xforms/DOALL.h"
 #include "xforms/DSWP.h"
+#include "xforms/SpecDOALL.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 
 using namespace noelle;
 using nir::Context;
@@ -232,6 +237,40 @@ void expectSameRecords(const std::vector<nir::DispatchRecord> &A,
   }
 }
 
+/// The spec-suite's seeded kernel on its profiled input (mode == 0):
+/// every inner iteration touches its own data[i], so each speculative
+/// dispatch commits. Its task body is journaled accesses only, which the
+/// engine decodes to the SpecLd/SpecSt opcodes; the task's environment
+/// holds one live-in, r.
+const char *SeededSpecSrc = R"(
+  int mode;
+  int data[2048];
+  int main() {
+    int total = 0;
+    for (int r = 0; r < 8; r = r + 1) {
+      for (int i = 0; i < 2048; i = i + 1) {
+        int idx = i;
+        if (mode > 0) idx = 0;
+        data[idx] = data[idx] + i + r;
+      }
+      total = total + data[r];
+    }
+    return total % 100007;
+  }
+)";
+
+/// Profiles \p M's memory dependences and applies SpecDOALL to every
+/// loop it admits; returns the doall-spec task (null if none).
+Function *speculate(nir::Module &M) {
+  profileMemDeps(M).embed(M);
+  Noelle N(M);
+  SpecDOALL(N).run();
+  for (const auto &F : M.getFunctions())
+    if (F->getMetadata(verify::TaskKindKey) == "doall-spec")
+      return F.get();
+  return nullptr;
+}
+
 TEST(InterpDispatchTest, RecordsInvariantAcrossTiersUnderDOALLAndDSWP) {
   const char *Src = R"(
     int a[512];
@@ -246,31 +285,38 @@ TEST(InterpDispatchTest, RecordsInvariantAcrossTiersUnderDOALLAndDSWP) {
       return y;
     }
   )";
-  for (const char *Which : {"doall", "dswp"}) {
+  for (const std::string Which : {"doall", "dswp", "doall-spec"}) {
     Context Ctx;
-    auto M = minic::compileMiniCOrDie(Ctx, Src);
-    Noelle N(*M);
-    unsigned Parallelized = 0;
-    if (std::string(Which) == "doall") {
-      DOALLOptions O;
-      O.NumCores = 4;
-      DOALL Tool(N, O);
-      for (const auto &D : Tool.run())
-        Parallelized += D.Parallelized;
+    auto M = minic::compileMiniCOrDie(
+        Ctx, Which == "doall-spec" ? SeededSpecSrc : Src);
+    if (Which == "doall-spec") {
+      ASSERT_NE(speculate(*M), nullptr);
     } else {
-      DSWPOptions O;
-      O.NumCores = 2;
-      O.MinimumStageWeight = 0;
-      DSWP Tool(N, O);
-      for (const auto &D : Tool.run())
-        Parallelized += D.Parallelized;
+      Noelle N(*M);
+      unsigned Parallelized = 0;
+      if (Which == "doall") {
+        DOALLOptions O;
+        O.NumCores = 4;
+        DOALL Tool(N, O);
+        for (const auto &D : Tool.run())
+          Parallelized += D.Parallelized;
+      } else {
+        DSWPOptions O;
+        O.NumCores = 2;
+        O.MinimumStageWeight = 0;
+        DSWP Tool(N, O);
+        for (const auto &D : Tool.run())
+          Parallelized += D.Parallelized;
+      }
+      ASSERT_GE(Parallelized, 1u) << Which;
     }
-    ASSERT_GE(Parallelized, 1u) << Which;
 
-    auto runTier = [&](ExecutionEngine::DispatchMode Mode, bool Observe) {
+    auto runTier = [&](ExecutionEngine::DispatchMode Mode, bool Observe,
+                       bool DecodeOpt) {
       ExecutionEngine E(*M, [&] {
         ExecutionEngine::Options O;
         O.Dispatch = Mode;
+        O.DecodeOpt = DecodeOpt;
         return O;
       }());
       registerParallelRuntime(E);
@@ -281,16 +327,50 @@ TEST(InterpDispatchTest, RecordsInvariantAcrossTiersUnderDOALLAndDSWP) {
       return std::make_pair(Ret, E.getDispatchRecords());
     };
 
-    auto [RetT, RecT] = runTier(ExecutionEngine::DispatchMode::Threaded,
-                                false);
-    auto [RetS, RecS] = runTier(ExecutionEngine::DispatchMode::Switch,
-                                false);
-    auto [RetO, RecO] = runTier(ExecutionEngine::DispatchMode::Auto, true);
-    EXPECT_EQ(RetT, RetS) << Which;
-    EXPECT_EQ(RetT, RetO) << Which;
-    ASSERT_FALSE(RecT.empty()) << Which;
-    expectSameRecords(RecT, RecS, Which);
-    expectSameRecords(RecT, RecO, Which);
+    const char *Tag = Which.c_str();
+    auto [RetT, RecT] =
+        runTier(ExecutionEngine::DispatchMode::Threaded, false, true);
+    auto [RetS, RecS] =
+        runTier(ExecutionEngine::DispatchMode::Switch, false, true);
+    auto [RetO, RecO] =
+        runTier(ExecutionEngine::DispatchMode::Auto, true, true);
+    auto [RetN, RecN] =
+        runTier(ExecutionEngine::DispatchMode::Auto, false, false);
+    EXPECT_EQ(RetT, RetS) << Tag;
+    EXPECT_EQ(RetT, RetO) << Tag;
+    EXPECT_EQ(RetT, RetN) << Tag;
+    ASSERT_FALSE(RecT.empty()) << Tag;
+    expectSameRecords(RecT, RecS, Tag);
+    expectSameRecords(RecT, RecO, Tag);
+    expectSameRecords(RecT, RecN, Tag);
+  }
+}
+
+TEST(InterpDispatchTest, SpecTaskOutsideDispatchWritesMemory) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, SeededSpecSrc);
+  Function *Task = speculate(*M);
+  ASSERT_NE(Task, nullptr);
+  const int64_t NumTasks =
+      std::stoll(Task->getMetadata(verify::TaskWorkersKey));
+
+  // With no journal installed the task's speculative accesses are plain
+  // loads and stores: running every task of one outer iteration (r = 5)
+  // updates data[] in place.
+  for (bool DecodeOpt : {true, false}) {
+    ExecutionEngine::Options O;
+    O.DecodeOpt = DecodeOpt;
+    ExecutionEngine E(*M, O);
+    const int64_t Env[1] = {5};
+    for (int64_t T = 0; T < NumTasks; ++T)
+      E.runFunction(Task,
+                    {RuntimeValue::ofPtr(reinterpret_cast<uint64_t>(Env)),
+                     RuntimeValue::ofInt(T), RuntimeValue::ofInt(NumTasks)});
+    const auto *Data = reinterpret_cast<const int64_t *>(
+        E.getGlobalAddress(M->getGlobal("data")));
+    for (int64_t I = 0; I < 2048; ++I)
+      ASSERT_EQ(Data[I], I + 5)
+          << "data[" << I << "], decode-opt " << DecodeOpt;
   }
 }
 

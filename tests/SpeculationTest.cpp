@@ -8,13 +8,15 @@
 /// (commit path and seeded-misspeculation rollback), the planner's
 /// speculative enumeration over a real suite kernel, and the
 /// `noelle-check --speculative` audits — including that each audit
-/// catches a deliberately seeded violation. Registered under the ctest
-/// label "spec-suite".
+/// catches a deliberately seeded violation — and the journal itself
+/// against a byte-at-a-time model. Registered under the ctest label
+/// "spec-suite".
 ///
 //===----------------------------------------------------------------------===//
 
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
+#include "interp/SpecJournal.h"
 #include "ir/IDs.h"
 #include "ir/IRBuilder.h"
 #include "ir/Instructions.h"
@@ -33,6 +35,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -613,6 +618,276 @@ TEST(SpecCheckTest, CleanSpecModulePassesSpeculativeAudit) {
   ASSERT_GE(S.SpecLoops, 1u);
   verify::CheckReport Rep = speculativeAudit(S);
   EXPECT_TRUE(Rep.clean()) << Rep.str();
+}
+
+// ---------------------------------------------------------------------------
+// The speculative journal against a byte-at-a-time model.
+// ---------------------------------------------------------------------------
+
+/// Three 4 KiB pages of real memory, page-aligned, so an offset names
+/// the 64-byte bitmap word and the page an access lands on.
+struct alignas(4096) Arena {
+  static constexpr unsigned Size = 3 * 4096;
+  uint8_t Bytes[Size];
+
+  explicit Arena(uint8_t Seed) {
+    for (unsigned I = 0; I < Size; ++I)
+      Bytes[I] = static_cast<uint8_t>(I * 131 + Seed);
+  }
+  uint64_t at(unsigned Off) const {
+    return reinterpret_cast<uint64_t>(Bytes + Off);
+  }
+  std::vector<uint8_t> copy() const { return {Bytes, Bytes + Size}; }
+};
+
+/// The journal's contract one byte at a time: a load takes each byte the
+/// task wrote from the log and the rest from memory, and every byte an
+/// access touches is marked read or written.
+struct ByteJournal {
+  std::map<uint64_t, uint8_t> Written;
+  std::set<uint64_t> Read;
+
+  void load(uint64_t Addr, unsigned N, uint8_t *Out) {
+    for (unsigned I = 0; I < N; ++I) {
+      Read.insert(Addr + I);
+      auto It = Written.find(Addr + I);
+      Out[I] = It != Written.end()
+                   ? It->second
+                   : *reinterpret_cast<const uint8_t *>(Addr + I);
+    }
+  }
+  void store(uint64_t Addr, unsigned N, const uint8_t *Src) {
+    for (unsigned I = 0; I < N; ++I)
+      Written[Addr + I] = Src[I];
+  }
+};
+
+void journalLoad(nir::SpecJournal &J, uint64_t Addr, unsigned N,
+                 uint8_t *Out) {
+  switch (N) {
+  case 1:
+    return J.load<1>(Addr, Out);
+  case 4:
+    return J.load<4>(Addr, Out);
+  default:
+    return J.load<8>(Addr, Out);
+  }
+}
+
+void journalStore(nir::SpecJournal &J, uint64_t Addr, unsigned N,
+                  const uint8_t *Src) {
+  switch (N) {
+  case 1:
+    return J.store<1>(Addr, Src);
+  case 4:
+    return J.store<4>(Addr, Src);
+  default:
+    return J.store<8>(Addr, Src);
+  }
+}
+
+bool conflicts(std::vector<nir::SpecJournal> &Js) {
+  return nir::journalsConflict(Js.data(), Js.size());
+}
+
+TEST(SpecJournalTest, AccessesMatchByteAtATimeModel) {
+  auto A = std::make_unique<Arena>(7);
+  const std::vector<uint8_t> Initial = A->copy();
+  std::vector<nir::SpecJournal> Js(2); // [0] under test, [1] a probe
+
+  // Short rounds of 1-, 4- and 8-byte accesses clustered around the
+  // start of a bitmap word, the word boundary at 64 and the page
+  // boundaries at 4096 and 8192, so accesses overlap each other and
+  // cross words and pages, yet leave bytes untouched beside them. Each
+  // round is one dispatch: check, commit, recycle.
+  const unsigned Spots[] = {0, 52, 4084, 8180};
+  const unsigned Window = 24 + 8;
+  const unsigned Sizes[] = {1, 4, 8};
+  uint64_t Rng = 0x9E3779B97F4A7C15ull;
+  auto Next = [&Rng] {
+    Rng = Rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<unsigned>(Rng >> 33);
+  };
+  for (unsigned Round = 0; Round < 100; ++Round) {
+    ByteJournal Model;
+    for (unsigned Op = 0; Op < 16; ++Op) {
+      const unsigned N = Sizes[Next() % 3];
+      const uint64_t Addr = A->at(Spots[Next() % 4] + Next() % 24);
+      uint8_t Got[8], Want[8];
+      if (Next() % 2) {
+        for (unsigned I = 0; I < N; ++I)
+          Want[I] = static_cast<uint8_t>(Next());
+        journalStore(Js[0], Addr, N, Want);
+        Model.store(Addr, N, Want);
+        continue;
+      }
+      journalLoad(Js[0], Addr, N, Got);
+      Model.load(Addr, N, Want);
+      ASSERT_EQ(std::memcmp(Got, Want, N), 0)
+          << "load of " << N << " at offset " << Addr - A->at(0)
+          << ", round " << Round << ", op " << Op;
+    }
+    ASSERT_EQ(A->copy(), Initial) << "a journaled store reached memory";
+
+    // The marks, byte by byte: a probe task writing a byte conflicts iff
+    // the journal read or wrote it, and reading it iff the journal wrote
+    // it.
+    for (unsigned Spot : Spots)
+      for (unsigned Off = Spot; Off < Spot + Window; ++Off) {
+        const uint64_t Addr = A->at(Off);
+        const bool W = Model.Written.count(Addr) != 0;
+        const bool R = Model.Read.count(Addr) != 0;
+        const uint8_t B = 0;
+        Js[1].store<1>(Addr, &B);
+        ASSERT_EQ(conflicts(Js), W || R)
+            << "write probe at offset " << Off << ", round " << Round;
+        Js[1].recycle();
+        uint8_t Sink;
+        Js[1].load<1>(Addr, &Sink);
+        ASSERT_EQ(conflicts(Js), W)
+            << "read probe at offset " << Off << ", round " << Round;
+        Js[1].recycle();
+      }
+
+    // The commit writes exactly the journaled bytes.
+    std::vector<uint8_t> Want = Initial;
+    for (const auto &[Addr, V] : Model.Written)
+      Want[Addr - A->at(0)] = V;
+    Js[0].commit();
+    ASSERT_EQ(A->copy(), Want) << "round " << Round;
+    std::memcpy(A->Bytes, Initial.data(), Arena::Size);
+    Js[0].recycle();
+  }
+}
+
+TEST(SpecJournalTest, SubWordStoreThenWholeLoadMergesBytes) {
+  auto A = std::make_unique<Arena>(3);
+  nir::SpecJournal J;
+  const uint8_t B = 0xAB;
+
+  // A 1-byte store into an aligned word, read back by an 8-byte load.
+  J.store<1>(A->at(67), &B);
+  uint8_t Got[8], Want[8];
+  J.load<8>(A->at(64), Got);
+  std::memcpy(Want, A->Bytes + 64, 8);
+  Want[3] = B;
+  EXPECT_EQ(std::memcmp(Got, Want, 8), 0);
+
+  // The last byte of a page, read back by a 4-byte load across the page
+  // boundary.
+  J.store<1>(A->at(4095), &B);
+  J.load<4>(A->at(4094), Got);
+  std::memcpy(Want, A->Bytes + 4094, 4);
+  Want[1] = B;
+  EXPECT_EQ(std::memcmp(Got, Want, 4), 0);
+  EXPECT_NE(A->Bytes[67], B);
+  EXPECT_NE(A->Bytes[4095], B);
+}
+
+TEST(SpecJournalTest, ConflictsAreByteGranular) {
+  struct Access {
+    unsigned Off, N;
+    bool Store;
+  };
+  struct Case {
+    const char *Name;
+    Access First, Second;
+    bool Conflict;
+  };
+  const Case Cases[] = {
+      {"adjacent bytes written", {64, 1, true}, {65, 1, true}, false},
+      {"adjacent words across a bitmap word",
+       {56, 8, true},
+       {64, 8, true},
+       false},
+      {"adjacent words across a page", {4092, 4, true}, {4096, 4, true}, false},
+      {"read beside a write", {60, 4, false}, {64, 4, true}, false},
+      {"same bytes read twice", {0, 8, false}, {0, 8, false}, false},
+      {"the last byte of a load written", {8, 8, false}, {15, 1, true}, true},
+      {"the last bytes of a store read", {64, 4, true}, {66, 4, false}, true},
+      {"one byte written twice", {0, 4, true}, {3, 1, true}, true},
+      {"a byte written and read across a bitmap word",
+       {60, 8, true},
+       {67, 1, false},
+       true},
+      {"a byte read and written across a page",
+       {4094, 4, false},
+       {4096, 1, true},
+       true},
+  };
+  for (const Case &C : Cases) {
+    // Both task orders: validation must not depend on which task's pages
+    // it walks first.
+    for (bool Swap : {false, true}) {
+      SCOPED_TRACE(std::string(C.Name) + (Swap ? ", swapped" : ""));
+      auto A = std::make_unique<Arena>(11);
+      std::vector<uint8_t> Want = A->copy();
+      std::vector<nir::SpecJournal> Js(2);
+      const Access *Acc[2] = {&C.First, &C.Second};
+      if (Swap)
+        std::swap(Acc[0], Acc[1]);
+      for (unsigned T = 0; T < 2; ++T) {
+        uint8_t Buf[8];
+        if (Acc[T]->Store) {
+          std::memset(Buf, 0xC0 + T, sizeof(Buf));
+          journalStore(Js[T], A->at(Acc[T]->Off), Acc[T]->N, Buf);
+          std::memcpy(&Want[Acc[T]->Off], Buf, Acc[T]->N);
+        } else {
+          journalLoad(Js[T], A->at(Acc[T]->Off), Acc[T]->N, Buf);
+        }
+      }
+      ASSERT_EQ(conflicts(Js), C.Conflict);
+      if (C.Conflict)
+        continue;
+      for (const nir::SpecJournal &J : Js)
+        J.commit();
+      EXPECT_EQ(A->copy(), Want);
+    }
+  }
+}
+
+TEST(SpecJournalTest, RecycledJournalCarriesNothingOver) {
+  auto A = std::make_unique<Arena>(5);
+  std::vector<nir::SpecJournal> Js(2);
+  const uint64_t X = 0x1111111111111111ull;
+  const uint64_t Y = 0x2222222222222222ull;
+
+  // First dispatch: task 0 writes a word and a word that crosses a
+  // bitmap word, and reads a word on the next page; it commits.
+  Js[0].store<8>(A->at(0), &X);
+  Js[0].store<8>(A->at(60), &Y);
+  uint64_t Sink;
+  Js[0].load<8>(A->at(4096), &Sink);
+  ASSERT_FALSE(conflicts(Js));
+  for (nir::SpecJournal &J : Js) {
+    J.commit();
+    J.recycle();
+  }
+
+  // Memory moves on between the dispatches.
+  for (unsigned I = 0; I < Arena::Size; ++I)
+    A->Bytes[I] = static_cast<uint8_t>(~A->Bytes[I]);
+  std::vector<uint8_t> Want = A->copy();
+
+  // Second dispatch: task 0 reads a word it wrote last time and sees
+  // memory, not its old log.
+  uint64_t Got, Mem;
+  Js[0].load<8>(A->at(0), &Got);
+  std::memcpy(&Mem, A->Bytes, 8);
+  EXPECT_EQ(Got, Mem) << "a recycled page kept a written mark";
+
+  // Task 1 writes the bytes task 0 wrote or read in the first dispatch
+  // only: no conflict.
+  Js[1].store<8>(A->at(60), &X);
+  Js[1].store<8>(A->at(4096), &X);
+  std::memcpy(&Want[60], &X, 8);
+  std::memcpy(&Want[4096], &X, 8);
+  EXPECT_FALSE(conflicts(Js)) << "a recycled page kept a read or written mark";
+
+  // The commit writes this dispatch's bytes and nothing older.
+  for (const nir::SpecJournal &J : Js)
+    J.commit();
+  EXPECT_EQ(A->copy(), Want);
 }
 
 } // namespace

@@ -8,9 +8,13 @@
 /// once with the input flipped so every dispatch conflicts (rollback
 /// path: journal discard, sequential re-execution). A TSan report on
 /// either path indicts the write-log/commit protocol's synchronization.
-/// The same program also builds under -fsanitize=address,undefined
-/// (SpecAsanUbsanSmoke), which checks the journal's page and bitmap
-/// arithmetic and its masked commit.
+/// The kernel runs over `int data[2048]` and then `char data[2048]`,
+/// whose neighbouring tasks write different bytes of one word: partial
+/// bitmap words, commits by runs of bytes, and journal pages the
+/// dispatching thread recycled and workers then write. The same program
+/// also builds under -fsanitize=address,undefined (SpecAsanUbsanSmoke),
+/// which checks the journal's page and bitmap arithmetic and its masked
+/// commit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +28,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 using namespace noelle;
 using nir::Context;
@@ -34,7 +39,7 @@ namespace {
 /// Same seeded kernel the spec-suite uses: mode == 0 keeps iteration
 /// writes disjoint (the profiled configuration); mode == 1 funnels every
 /// iteration through data[0], so speculation must roll back.
-const char *Src = R"(
+const char *IntSrc = R"(
   int mode;
   int data[2048];
   int main() {
@@ -51,7 +56,7 @@ const char *Src = R"(
   }
 )";
 
-int64_t runSequential(int64_t Mode) {
+int64_t runSequential(const std::string &Src, int64_t Mode) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, Src);
   M->getGlobal("mode")->setInitWords({Mode});
@@ -59,11 +64,11 @@ int64_t runSequential(int64_t Mode) {
   return E.runMain();
 }
 
-} // namespace
-
-int main() {
-  int64_t SeqClean = runSequential(0);
-  int64_t SeqFlipped = runSequential(1);
+/// Plans, applies and runs \p Src on the commit and the rollback path;
+/// returns the number of loops speculated, or 0 on any failure.
+unsigned checkBothPaths(const std::string &Src) {
+  int64_t SeqClean = runSequential(Src, 0);
+  int64_t SeqFlipped = runSequential(Src, 1);
 
   // Profile on mode == 0, then plan with speculation enabled. Fall back
   // to the forced transform if the cost model declines — the smoke's
@@ -96,7 +101,7 @@ int main() {
   }
   if (SpecApplied == 0) {
     std::fprintf(stderr, "spec-tsan: no loop speculated\n");
-    return 1;
+    return 0;
   }
 
   // Commit path: profiled input, worker threads, journaled accesses.
@@ -108,7 +113,7 @@ int main() {
       std::fprintf(stderr,
                    "spec-tsan: commit path returned %lld, expected %lld\n",
                    (long long)Got, (long long)SeqClean);
-      return 1;
+      return 0;
     }
   }
 
@@ -124,11 +129,29 @@ int main() {
                    "spec-tsan: rollback path returned %lld, expected "
                    "%lld\n",
                    (long long)Got, (long long)SeqFlipped);
-      return 1;
+      return 0;
     }
   }
 
-  std::printf("spec-tsan: commit and rollback paths clean (%u loops)\n",
-              SpecApplied);
+  return SpecApplied;
+}
+
+} // namespace
+
+int main() {
+  std::string CharSrc = IntSrc;
+  CharSrc.replace(CharSrc.find("int data["), 3, "char");
+  const std::pair<const char *, std::string> Variants[] = {
+      {"int", IntSrc}, {"char", CharSrc}};
+  for (const auto &[Name, Src] : Variants) {
+    unsigned Loops = checkBothPaths(Src);
+    if (Loops == 0) {
+      std::fprintf(stderr, "spec-tsan: %s data failed\n", Name);
+      return 1;
+    }
+    std::printf("spec-tsan: %s data: commit and rollback paths clean (%u "
+                "loops)\n",
+                Name, Loops);
+  }
   return 0;
 }

@@ -78,6 +78,17 @@ std::function<unsigned(nir::Module &)> sweep(TechniqueKind K) {
   };
 }
 
+/// The gcc baseline's sweep, or icc's when \p AllowReductions.
+std::function<unsigned(nir::Module &)> conservative(bool AllowReductions) {
+  return [AllowReductions](nir::Module &M) {
+    unsigned Count = 0;
+    for (const auto &D : baselines::runConservativeParallelizer(
+             M, {.NumCores = Cores, .AllowReductions = AllowReductions}))
+      Count += D.Parallelized;
+    return Count;
+  };
+}
+
 std::string fmt(const Measurement &M) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%.2fx%s", M.Speedup,
@@ -104,27 +115,10 @@ int main() {
       continue; // Figure 5 covers PARSEC + MiBench; §4.4 covers SPEC.
     auto [Expected, BaselineInstrs] = runBaseline(B);
 
-    Measurement Gcc = measure(B, Expected, BaselineInstrs, [](nir::Module &M) {
-      baselines::ConservativeOptions O;
-      O.NumCores = Cores;
-      O.Name = "gcc";
-      baselines::ConservativeParallelizer T(M, O);
-      unsigned N = 0;
-      for (const auto &D : T.run())
-        N += D.Parallelized;
-      return N;
-    });
-    Measurement Icc = measure(B, Expected, BaselineInstrs, [](nir::Module &M) {
-      baselines::ConservativeOptions O;
-      O.NumCores = Cores;
-      O.AllowReductions = true;
-      O.Name = "icc";
-      baselines::ConservativeParallelizer T(M, O);
-      unsigned N = 0;
-      for (const auto &D : T.run())
-        N += D.Parallelized;
-      return N;
-    });
+    Measurement Gcc =
+        measure(B, Expected, BaselineInstrs, conservative(false));
+    Measurement Icc =
+        measure(B, Expected, BaselineInstrs, conservative(true));
     Measurement Doall =
         measure(B, Expected, BaselineInstrs, sweep(TechniqueKind::DOALL));
     Measurement Helix =

@@ -53,10 +53,7 @@ int main() {
     };
 
     auto [GccS, GccOK] = Measure([&](nir::Module &M) {
-      baselines::ConservativeOptions O;
-      O.NumCores = Cores;
-      baselines::ConservativeParallelizer T(M, O);
-      T.run();
+      baselines::runConservativeParallelizer(M, {.NumCores = Cores});
     });
     auto Sweep = [&](TechniqueKind K) {
       return Measure([&](nir::Module &M) {

@@ -3,81 +3,29 @@
 #include "baselines/LLVMBaselines.h"
 
 using namespace baselines;
-using noelle::DOALL;
-using noelle::DOALLOptions;
-using noelle::LoopContent;
-using noelle::Noelle;
-using noelle::NoelleOptions;
+using noelle::Legality;
 
-ConservativeParallelizer::ConservativeParallelizer(nir::Module &M,
-                                                   ConservativeOptions Opts)
-    : M(M), Opts(Opts) {}
+Legality ConservativeParallelizer::applicable(noelle::LoopContent &LC) {
+  Legality L;
+  // Production compilers only handle rotated counted loops.
+  if (!findGoverningIVLLVM(LC.getLoopStructure()))
+    L.Reason = "induction variable not recognized (loop is not in "
+               "do-while form)";
+  // gcc's auto-par has no reduction recognition in our model.
+  else if (!AllowReductions &&
+           !LC.getReductionManager().getReductions().empty())
+    L.Reason = "reduction not supported";
+  else
+    L = DOALL::applicable(LC);
+  return L;
+}
 
-std::vector<ConservativeDecision> ConservativeParallelizer::run() {
-  // The production-compiler model: weak AA, no interprocedural
-  // summaries.
-  NoelleOptions NOpts;
+std::vector<noelle::Decision>
+baselines::runConservativeParallelizer(nir::Module &M,
+                                       ConservativeOptions Opts) {
+  noelle::NoelleOptions NOpts;
   NOpts.PDGOptions.AliasAnalysisName = "llvm";
   NOpts.PDGOptions.UseModRefSummaries = false;
-  Noelle N(M, NOpts);
-
-  DOALLOptions DOpts;
-  DOpts.NumCores = Opts.NumCores;
-  DOALL Tool(N, DOpts);
-
-  std::vector<ConservativeDecision> Decisions;
-  std::set<std::pair<std::string, unsigned>> Attempted;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (LoopContent *LC : N.getLoopContents()) {
-      nir::LoopStructure &LS = LC->getLoopStructure();
-      if (LS.getFunction()->getMetadata("noelle.task") == "true")
-        continue;
-      unsigned HeaderPos = 0, Pos = 0;
-      for (auto &BB : LS.getFunction()->getBlocks()) {
-        if (BB.get() == LS.getHeader())
-          HeaderPos = Pos;
-        ++Pos;
-      }
-      auto Key = std::make_pair(LS.getFunction()->getName(), HeaderPos);
-      if (!Attempted.insert(Key).second)
-        continue;
-
-      ConservativeDecision D;
-      D.FunctionName = Key.first;
-      D.LoopID = LS.getID();
-
-      // Production compilers only handle rotated counted loops.
-      if (!findGoverningIVLLVM(LS)) {
-        D.Reason = "induction variable not recognized (loop is not in "
-                   "do-while form)";
-        Decisions.push_back(D);
-        continue;
-      }
-      // gcc's auto-par has no reduction recognition in our model.
-      if (!Opts.AllowReductions &&
-          !LC->getReductionManager().getReductions().empty()) {
-        D.Reason = "reduction not supported";
-        Decisions.push_back(D);
-        continue;
-      }
-      noelle::Legality L = Tool.applicable(*LC);
-      if (!L) {
-        D.Reason = L.Reason;
-        Decisions.push_back(D);
-        continue;
-      }
-      noelle::Decision TD;
-      D.Parallelized = Tool.apply(*LC, Tool.defaultPlan(), TD);
-      if (!D.Parallelized)
-        D.Reason = TD.Reason;
-      Decisions.push_back(D);
-      if (D.Parallelized) {
-        Progress = true;
-        break;
-      }
-    }
-  }
-  return Decisions;
+  noelle::Noelle N(M, NOpts);
+  return ConservativeParallelizer(N, Opts).run();
 }

@@ -22,29 +22,25 @@ struct ConservativeOptions {
   /// "gcc" and "icc" differ only marginally for our purposes; icc
   /// additionally recognizes simple sum reductions.
   bool AllowReductions = false;
-  const char *Name = "gcc";
 };
 
-struct ConservativeDecision {
-  std::string FunctionName;
-  unsigned LoopID = 0;
-  bool Parallelized = false;
-  std::string Reason;
-};
-
-/// Runs the conservative auto-parallelizer over a module. Internally it
-/// reuses the DOALL mechanics but under an "llvm"-strength PDG and
-/// do-while-only IV detection.
-class ConservativeParallelizer {
+/// The production-compiler model as a DOALL: it takes only loops whose
+/// IV LLVM recognizes (do-while shape) and, unless icc, no reductions.
+class ConservativeParallelizer : public noelle::DOALL {
 public:
-  ConservativeParallelizer(nir::Module &M, ConservativeOptions Opts = {});
+  ConservativeParallelizer(noelle::Noelle &N, ConservativeOptions Opts)
+      : DOALL(N, {Opts.NumCores}), AllowReductions(Opts.AllowReductions) {}
 
-  std::vector<ConservativeDecision> run();
+  noelle::Legality applicable(noelle::LoopContent &LC) override;
 
 private:
-  nir::Module &M;
-  ConservativeOptions Opts;
+  bool AllowReductions;
 };
+
+/// Runs the conservative auto-parallelizer's forced sweep over \p M
+/// under an "llvm"-strength PDG: weak AA, no interprocedural summaries.
+std::vector<noelle::Decision>
+runConservativeParallelizer(nir::Module &M, ConservativeOptions Opts = {});
 
 } // namespace baselines
 

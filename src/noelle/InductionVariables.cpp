@@ -131,27 +131,9 @@ InductionVariableManager::getIVForPhi(const PhiInst *Phi) const {
   return nullptr;
 }
 
-//===----------------------------------------------------------------------===//
-// Stepper
-//===----------------------------------------------------------------------===//
-
-void InductionVariableStepper::setStep(InductionVariable &IV,
-                                       Value *NewStep) {
-  BinaryInst *Upd = IV.getStepInstruction();
-  // Normalize sub-steps to add form first so the replacement is uniform.
-  assert(Upd && "IV has no step instruction");
-  if (Upd->getLHS() == IV.getPhi())
-    Upd->setOperand(1, NewStep);
-  else
-    Upd->setOperand(0, NewStep);
-}
-
-void InductionVariableStepper::scaleStep(InductionVariable &IV,
-                                         int64_t Factor) {
-  assert(IV.hasConstantStep() && "scaleStep requires a constant step");
-  int64_t NewStep = IV.getConstantStep() * Factor;
-  BinaryInst *Upd = IV.getStepInstruction();
-  if (Upd->getOp() == BinaryInst::Op::Sub)
-    NewStep = -NewStep;
-  setStep(IV, Ctx.getConstantInt(IV.getPhi()->getType(), NewStep));
+bool InductionVariableManager::isIVSCC(const SCC *S) const {
+  for (const auto &IV : IVs)
+    if (IV->getSCC() == S || S->contains(IV->getPhi()))
+      return true;
+  return false;
 }

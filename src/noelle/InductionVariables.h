@@ -3,9 +3,9 @@
 /// \file
 /// NOELLE's induction-variable abstractions (IV + IVS): SCC-based
 /// detection that works on any loop shape (the paper's §4.3 contrast with
-/// LLVM's do-while-only detection), identification of the governing IV,
-/// and the induction-variable stepper that rewrites step values (used for
-/// chunking by DOALL/HELIX).
+/// LLVM's do-while-only detection) and identification of the governing
+/// IV. The stepper that re-bases IVs per task (IVS) is
+/// rebaseInductionVariables in xforms/ParallelizationUtils.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +91,10 @@ public:
   /// The IV embodied by \p Phi, or null.
   InductionVariable *getIVForPhi(const PhiInst *Phi) const;
 
+  /// True if \p S is the cycle of one of the loop's IVs (the IV's own
+  /// SCC, or an SCC holding its phi).
+  bool isIVSCC(const SCC *S) const;
+
   nir::LoopStructure &getLoop() const { return L; }
 
 private:
@@ -102,23 +106,6 @@ private:
   InvariantManager &Inv;
   std::vector<std::unique_ptr<InductionVariable>> IVs;
   InductionVariable *Governing = nullptr;
-};
-
-/// The induction-variable stepper (IVS): rewrites step values in place.
-class InductionVariableStepper {
-public:
-  explicit InductionVariableStepper(nir::Context &Ctx) : Ctx(Ctx) {}
-
-  /// Replaces the IV's step with \p NewStep. Callers are responsible for
-  /// keeping exit conditions consistent (e.g. switching EQ exits to
-  /// ordered comparisons when overshooting becomes possible).
-  void setStep(InductionVariable &IV, Value *NewStep);
-
-  /// Multiplies the IV's step by constant \p Factor.
-  void scaleStep(InductionVariable &IV, int64_t Factor);
-
-private:
-  nir::Context &Ctx;
 };
 
 } // namespace noelle

@@ -51,6 +51,14 @@ ReductionManager::getReductionFor(const SCC *S) const {
   return nullptr;
 }
 
+const ReductionVariable *
+ReductionManager::getReductionForLiveOut(const Instruction *Out) const {
+  for (const auto &R : Reductions)
+    if (Out == R.Phi || Out == R.Update)
+      return &R;
+  return nullptr;
+}
+
 Value *ReductionManager::emitCombine(nir::IRBuilder &B, BinaryInst::Op Op,
                                      Value *A, Value *Bv) {
   return B.createBinary(Op, A, Bv);

@@ -39,6 +39,10 @@ public:
   /// The reduction embodied by \p S, or null.
   const ReductionVariable *getReductionFor(const SCC *S) const;
 
+  /// The reduction whose accumulator \p Out is (its phi or its update),
+  /// or null: how a live-out is matched to the reduction it carries.
+  const ReductionVariable *getReductionForLiveOut(const Instruction *Out) const;
+
   /// Emits code combining two partial accumulator values with the
   /// reduction operator at the builder's insertion point.
   static Value *emitCombine(nir::IRBuilder &B, BinaryInst::Op Op, Value *A,

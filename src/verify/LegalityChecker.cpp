@@ -16,13 +16,6 @@ using nir::Value;
 
 namespace {
 
-bool isIVSCC(const SCC *S, InductionVariableManager &IVs) {
-  for (const auto &IV : IVs.getInductionVariables())
-    if (IV->getSCC() == S || S->contains(IV->getPhi()))
-      return true;
-  return false;
-}
-
 /// Numeric equality of two constants across IR contexts (the snapshot
 /// and the transformed module never share Constant pointers).
 bool sameConstant(const Value *A, const Value *B) {
@@ -154,10 +147,7 @@ private:
   /// partial result is stored into a per-worker environment lane.
   void checkReductions(const TaskInfo &T) {
     for (Instruction *Out : Env.getLiveOuts()) {
-      const ReductionVariable *RV = nullptr;
-      for (const auto &Cand : RM.getReductions())
-        if (Out == Cand.Phi || Out == Cand.Update)
-          RV = &Cand;
+      const ReductionVariable *RV = RM.getReductionForLiveOut(Out);
       if (!RV)
         continue; // HELIX segment state lives in spill slots instead.
 
@@ -234,7 +224,7 @@ private:
       // instead relies on stage co-location for every cycle (IV SCCs are
       // replicated into each stage), so it audits them uniformly here.
       if (R.Kind != "dswp" && SF && SF == ST &&
-          (isIVSCC(SF, IVs) || RM.getReductionFor(SF)))
+          (IVs.isIVSCC(SF) || RM.getReductionFor(SF)))
         continue;
 
       auto FromId = nir::instIDOf(From);

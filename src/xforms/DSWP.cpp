@@ -8,7 +8,6 @@
 #include "verify/CheckMetadata.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace noelle;
 using nir::BasicBlock;
@@ -25,24 +24,6 @@ namespace {
 
 /// Capacity of every inter-stage queue, in values.
 constexpr int64_t QueueCapacity = 128;
-
-bool isIVSCC(const SCC *S, InductionVariableManager &IVs) {
-  for (const auto &IV : IVs.getInductionVariables())
-    if (IV->getSCC() == S || S->contains(IV->getPhi()))
-      return true;
-  return false;
-}
-
-uint64_t positionOf(const Instruction *I) {
-  uint64_t Pos = 0;
-  for (const auto &BB : I->getFunction()->getBlocks())
-    for (const auto &Inst : BB->getInstList()) {
-      if (Inst.get() == I)
-        return Pos;
-      ++Pos;
-    }
-  return Pos;
-}
 
 /// Bitcasts \p V to i64 for queue transport (doubles/pointers included).
 Value *toQueueWord(IRBuilder &B, Value *V) {
@@ -88,15 +69,8 @@ bool DSWP::analyze(LoopContent &LC, unsigned Workers, PipelineAnalysis &A,
     return false;
   };
 
-  if (!LS.getPreheader())
-    return Fail("no preheader");
-  if (LS.getExitBlocks().size() != 1 || LS.getExitingBlocks().size() != 1)
-    return Fail("multiple exits");
-  for (BasicBlock *Pred : LS.getExitBlocks()[0]->predecessors())
-    if (!LS.contains(Pred))
-      return Fail("exit block has non-loop predecessors");
-  if (LS.getExitingBlocks()[0] != LS.getHeader())
-    return Fail("loop is not in while form");
+  if (!checkLoopShape(LC, /*HeaderExit=*/true, ExitTests::Any, Reason))
+    return false;
 
   // Straight-line body: every block must execute exactly once per
   // iteration (control-equivalent to the latch).
@@ -106,26 +80,17 @@ bool DSWP::analyze(LoopContent &LC, unsigned Workers, PipelineAnalysis &A,
       if (BB != LS.getHeader() && !DT.dominates(BB, Latch))
         return Fail("loop body has internal control flow");
 
-  auto &IVs = LC.getIVManager();
-  InductionVariable *GIV = IVs.getGoverningIV();
-  if (!GIV || !GIV->hasConstantStep() || GIV->getConstantStep() == 0)
-    return Fail("no governing IV with constant step");
-  if (GIV->getGoverningBranch()->getParent() != LS.getHeader())
-    return Fail("exit not governed from the header");
-  for (const auto &IV : IVs.getInductionVariables())
-    if (!IV->hasConstantStep())
-      return Fail("secondary IV with non-constant step");
-
   // Partition plan: replicated skeleton = IV SCCs + exit machinery +
   // terminators; the rest are pipeline candidates. SCCs connected by
   // memory dependences or loop-carried edges must share a stage.
   auto &Dag = LC.getSCCDAG();
+  auto &IVs = LC.getIVManager();
   auto &RM = LC.getReductionManager();
   std::vector<SCC *> Topo = Dag.getTopologicalOrder();
 
   std::set<SCC *> Replicated;
   for (const auto &S : Dag.getSCCs()) {
-    if (isIVSCC(S.get(), IVs)) {
+    if (IVs.isIVSCC(S.get())) {
       Replicated.insert(S.get());
       continue;
     }
@@ -270,14 +235,10 @@ bool DSWP::analyze(LoopContent &LC, unsigned Workers, PipelineAnalysis &A,
   // be stored there — e.g. the last value of a pipelined recurrence).
   auto &Env = LC.getEnvironment();
   for (Instruction *Out : Env.getLiveOuts()) {
-    bool IsReduction = false;
-    for (const auto &R : RM.getReductions())
-      if (Out == R.Phi || Out == R.Update)
-        IsReduction = true;
     bool IsOwnedHeaderPhi = nir::isa<PhiInst>(Out) &&
                             Out->getParent() == LS.getHeader() &&
                             A.StageOf.count(Out);
-    if (!IsReduction && !IsOwnedHeaderPhi)
+    if (!RM.getReductionForLiveOut(Out) && !IsOwnedHeaderPhi)
       return Fail("live-out value is not a reduction accumulator or "
                   "stage-owned recurrence");
   }
@@ -323,11 +284,7 @@ Legality DSWP::applicable(LoopContent &LC) {
   PipelineAnalysis A;
   if (!analyze(LC, Opts.NumCores, A, L.Reason))
     return L;
-  nir::LoopStructure &LS = LC.getLoopStructure();
-  for (BasicBlock *BB : LS.getBlocks())
-    for (const auto &I : BB->getInstList())
-      if (!nir::isa<PhiInst>(I.get()) && !I->isTerminator())
-        ++L.BodyWeight;
+  L.BodyWeight = bodyWeight(LC.getLoopStructure());
   L.NumStages = A.NumStages;
   L.NumQueues = static_cast<unsigned>(A.Queues.size());
   L.NumGroups = A.NumGroups;
@@ -417,8 +374,8 @@ bool DSWP::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
   EnvLayout Layout;
   Layout.Env = &Env;
   Layout.Lanes = 1; // each live-out owned by exactly one stage
-  unsigned QueueSlotBase = Layout.totalSlots();
-  unsigned TotalSlots = QueueSlotBase + static_cast<unsigned>(Queues.size());
+  Layout.ExtraSlots = static_cast<unsigned>(Queues.size());
+  unsigned QueueSlotBase = Layout.extraSlot(0);
 
   // Build one task per stage.
   std::vector<ClonedLoopTask> Stages;
@@ -498,9 +455,10 @@ bool DSWP::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
 
     // Delete every instruction not owned by this stage and not part of
     // the replicated skeleton, bottom-up.
+    auto Pos = numberInstructions(*Task.TaskFn);
     std::sort(Doomed.begin(), Doomed.end(),
-              [](Instruction *A, Instruction *B) {
-                return positionOf(A) > positionOf(B);
+              [&](Instruction *A, Instruction *B) {
+                return Pos.at(A) > Pos.at(B);
               });
     for (Instruction *I : Doomed) {
       if (I->hasUses())
@@ -516,10 +474,7 @@ bool DSWP::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
       auto It = StageOf.find(Out);
       if (It == StageOf.end() || It->second != Stage)
         continue;
-      const ReductionVariable *R = nullptr;
-      for (const auto &Cand : RM.getReductions())
-        if (Out == Cand.Phi || Out == Cand.Update)
-          R = &Cand;
+      const ReductionVariable *R = RM.getReductionForLiveOut(Out);
       // Reductions store their accumulator phi; stage-owned recurrences
       // store their own (header-phi) clone.
       Value *Final = Task.ValueMap[R ? static_cast<Instruction *>(R->Phi)
@@ -569,47 +524,27 @@ bool DSWP::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
     TB.createRetVoid();
   }
 
-  // Caller side.
-  BasicBlock *Dispatch =
+  // Caller side: create the queues before the dispatch call.
+  DispatchSite Site =
       replaceLoopWithDispatch(LS, Layout, Trampoline, NumStages);
-  auto *EnvAlloca = nir::cast<nir::AllocaInst>(Dispatch->front());
-  auto *Widened = new nir::AllocaInst(
-      Ctx.getPtrTy(), Ctx.getArrayTy(Ctx.getInt64Ty(), TotalSlots));
-  Widened->setName("env");
-  Widened->insertBefore(EnvAlloca);
-  EnvAlloca->replaceAllUsesWith(Widened);
-  EnvAlloca->eraseFromParent();
-  Value *EnvV = Widened;
-
-  nir::Instruction *DispatchCall = nullptr;
-  for (auto &I : Dispatch->getInstList())
-    if (auto *C = nir::dyn_cast<nir::CallInst>(I.get()))
-      if (C->getCalledFunction() &&
-          C->getCalledFunction()->getName() == "noelle_dispatch")
-        DispatchCall = C;
-  assert(DispatchCall);
   IRBuilder CB(Ctx);
-  CB.setInsertPoint(DispatchCall);
+  CB.setInsertPoint(Site.Call);
   for (unsigned Q = 0; Q < Queues.size(); ++Q) {
     Value *Handle =
         CB.createCall(QCreateFn, {Ctx.getInt64(QueueCapacity)}, "queue");
-    emitEnvStore(CB, EnvV, QueueSlotBase + Q, Handle);
+    emitEnvStore(CB, Site.Env, QueueSlotBase + Q, Handle);
   }
 
-  CB.setInsertPoint(Dispatch->getTerminator());
+  CB.setInsertPoint(Site.Block->getTerminator());
   for (Instruction *Out : Env.getLiveOuts()) {
-    Value *Final = emitEnvLoad(CB, EnvV, Layout.liveOutSlot(Out, 0),
+    Value *Final = emitEnvLoad(CB, Site.Env, Layout.liveOutSlot(Out, 0),
                                Out->getType(), "final");
     Out->replaceAllUsesWith(Final);
   }
 
-  // finalizeLoopRemoval frees the loop's blocks, and LS reads its header
-  // to answer getFunction(): resolve the host function first.
-  nir::Function *HostF = LS.getFunction();
-  finalizeLoopRemoval(LS, Dispatch);
   // Only the host function changed (the task bodies are new functions
   // with no cached analyses): keep every other function's bundles.
-  N.invalidate(*HostF);
+  N.invalidate(*finalizeLoopRemoval(LS, Site.Block));
   assert(nir::moduleVerifies(M) && "DSWP produced invalid IR");
   D.Parallelized = true;
   D.Workers = Workers;

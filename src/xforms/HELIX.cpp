@@ -8,42 +8,14 @@
 #include "verify/CheckMetadata.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace noelle;
 using nir::BasicBlock;
-using nir::CmpInst;
 using nir::DominatorTree;
 using nir::Function;
 using nir::IRBuilder;
 using nir::Instruction;
 using nir::PhiInst;
-
-namespace {
-
-bool isIVSCC(const SCC *S, InductionVariableManager &IVs) {
-  for (const auto &IV : IVs.getInductionVariables())
-    if (IV->getSCC() == S || S->contains(IV->getPhi()))
-      return true;
-  return false;
-}
-
-/// Program-order position of an instruction inside its function
-/// (block-major). Used to order segment members.
-uint64_t positionOf(const Instruction *I) {
-  uint64_t Pos = 0;
-  const Function *F = I->getFunction();
-  for (const auto &BB : F->getBlocks())
-    for (const auto &Inst : BB->getInstList()) {
-      if (Inst.get() == I)
-        return Pos;
-      ++Pos;
-    }
-  assert(false && "instruction not found");
-  return Pos;
-}
-
-} // namespace
 
 bool HELIX::computeSegments(
     LoopContent &LC, std::vector<std::vector<Instruction *>> &SegmentsOut,
@@ -55,63 +27,16 @@ bool HELIX::computeSegments(
   N.noteRequest(Abstraction::RD);
   N.noteRequest(Abstraction::DFE);
   N.noteRequest(Abstraction::SCD);
-  nir::LoopStructure &LS = LC.getLoopStructure();
-
-  if (!LS.getPreheader()) {
-    Reason = "no preheader";
-    return false;
-  }
-  if (LS.getExitBlocks().size() != 1 || LS.getExitingBlocks().size() != 1) {
-    Reason = "multiple exits";
-    return false;
-  }
-  for (BasicBlock *Pred : LS.getExitBlocks()[0]->predecessors())
-    if (!LS.contains(Pred)) {
-      Reason = "exit block has non-loop predecessors";
-      return false;
-    }
   // Sequential segments must run after the iteration is known to
   // execute, so the exit test has to be in the header (while form).
-  if (LS.getExitingBlocks()[0] != LS.getHeader()) {
-    Reason = "loop is not in while form (header must be the exit)";
+  if (!checkLoopShape(LC, /*HeaderExit=*/true, ExitTests::Ordered, Reason))
     return false;
-  }
-
-  auto &IVs = LC.getIVManager();
-  InductionVariable *GIV = IVs.getGoverningIV();
-  if (!GIV || !GIV->hasConstantStep() || GIV->getConstantStep() == 0) {
-    Reason = "no governing IV with constant step";
-    return false;
-  }
-  if (GIV->getGoverningBranch()->getParent() != LS.getHeader()) {
-    Reason = "exit not governed from the header";
-    return false;
-  }
-  switch (GIV->getGoverningCmp()->getPred()) {
-  case CmpInst::Pred::SLT:
-  case CmpInst::Pred::SLE:
-  case CmpInst::Pred::SGT:
-  case CmpInst::Pred::SGE:
-    break;
-  case CmpInst::Pred::NE:
-    if (!LS.contains(GIV->getGoverningBranch()->getSuccessor(0))) {
-      Reason = "inverted != exit test";
-      return false;
-    }
-    break;
-  default:
-    Reason = "unsupported governing comparison";
-    return false;
-  }
-  for (const auto &IV : IVs.getInductionVariables())
-    if (!IV->hasConstantStep()) {
-      Reason = "secondary IV with non-constant step";
-      return false;
-    }
+  nir::LoopStructure &LS = LC.getLoopStructure();
 
   // Group the SCCs that carry cross-iteration dependences (outside IV
   // and reduction cycles) into sequential segments.
   auto &Dag = LC.getSCCDAG();
+  auto &IVs = LC.getIVManager();
   auto &RM = LC.getReductionManager();
   std::map<SCC *, unsigned> GroupOf;
   std::vector<std::set<SCC *>> Groups;
@@ -143,7 +68,7 @@ bool HELIX::computeSegments(
       continue;
     SCC *SF = Dag.sccOf(From);
     SCC *ST = Dag.sccOf(To);
-    if (SF == ST && (isIVSCC(SF, IVs) || RM.getReductionFor(SF)))
+    if (SF == ST && (IVs.isIVSCC(SF) || RM.getReductionFor(SF)))
       continue;
     GroupFor(SF);
     if (ST != SF)
@@ -152,6 +77,7 @@ bool HELIX::computeSegments(
 
   // Materialize segments and check their shape.
   DominatorTree &DT = N.getDominators(*LS.getFunction());
+  auto Pos = numberInstructions(*LS.getFunction());
   SegmentsOut.clear();
   for (const auto &G : Groups) {
     if (G.empty())
@@ -161,8 +87,8 @@ bool HELIX::computeSegments(
       for (auto *V : S->getNodes())
         Members.push_back(nir::cast<Instruction>(V));
     std::sort(Members.begin(), Members.end(),
-              [](Instruction *A, Instruction *B) {
-                return positionOf(A) < positionOf(B);
+              [&](Instruction *A, Instruction *B) {
+                return Pos.at(A) < Pos.at(B);
               });
 
     for (Instruction *I : Members) {
@@ -194,7 +120,7 @@ bool HELIX::computeSegments(
     uint64_t FirstNonPhiPos = UINT64_MAX;
     for (Instruction *I : Members)
       if (!nir::isa<PhiInst>(I))
-        FirstNonPhiPos = std::min(FirstNonPhiPos, positionOf(I));
+        FirstNonPhiPos = std::min(FirstNonPhiPos, Pos.at(I));
     std::set<Instruction *> MemberSet(Members.begin(), Members.end());
     for (Instruction *I : Members) {
       auto *Phi = nir::dyn_cast<PhiInst>(I);
@@ -207,7 +133,7 @@ bool HELIX::computeSegments(
           continue; // Outside uses read the shared slot after dispatch.
         if (MemberSet.count(UserInst))
           continue;
-        if (positionOf(UserInst) < FirstNonPhiPos) {
+        if (Pos.at(UserInst) < FirstNonPhiPos) {
           Reason = "recurrence value used before the segment starts";
           return false;
         }
@@ -221,16 +147,12 @@ bool HELIX::computeSegments(
   // (final value read from the shared spill slot).
   auto &Env = LC.getEnvironment();
   for (Instruction *Out : Env.getLiveOuts()) {
-    bool IsReduction = false;
-    for (const auto &R : RM.getReductions())
-      if (Out == R.Phi || Out == R.Update)
-        IsReduction = true;
     bool InSegment = false;
     for (const auto &Seg : SegmentsOut)
       for (Instruction *I : Seg)
         if (I == Out)
           InSegment = true;
-    if (!IsReduction && !InSegment) {
+    if (!RM.getReductionForLiveOut(Out) && !InSegment) {
       Reason = "live-out is neither a reduction nor sequential state";
       return false;
     }
@@ -244,11 +166,7 @@ Legality HELIX::applicable(LoopContent &LC) {
   std::vector<std::vector<Instruction *>> Segments;
   if (!computeSegments(LC, Segments, L.Reason))
     return L;
-  nir::LoopStructure &LS = LC.getLoopStructure();
-  for (BasicBlock *BB : LS.getBlocks())
-    for (const auto &I : BB->getInstList())
-      if (!nir::isa<PhiInst>(I.get()) && !I->isTerminator())
-        ++L.BodyWeight;
+  L.BodyWeight = bodyWeight(LC.getLoopStructure());
   L.NumSegments = static_cast<unsigned>(Segments.size());
   for (const auto &S : Segments)
     L.SegmentWeight += S.size();
@@ -338,13 +256,12 @@ bool HELIX::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
   for (const auto &Seg : Segments)
     for (Instruction *I : Seg)
       if (auto *Phi = nir::dyn_cast<PhiInst>(I)) {
-        SpillSlot[Phi] = Layout.totalSlots() +
-                         static_cast<unsigned>(SpilledPhis.size());
+        SpillSlot[Phi] =
+            Layout.extraSlot(static_cast<unsigned>(SpilledPhis.size()));
         SpilledPhis.push_back(Phi);
       }
-  unsigned GatesSlot =
-      Layout.totalSlots() + static_cast<unsigned>(SpilledPhis.size());
-  unsigned TotalSlots = GatesSlot + 1;
+  Layout.ExtraSlots = static_cast<unsigned>(SpilledPhis.size()) + 1;
+  unsigned GatesSlot = Layout.totalSlots() - 1;
 
   // --- Task side -------------------------------------------------------
   ClonedLoopTask Task = cloneLoopIntoTask(
@@ -445,88 +362,37 @@ bool HELIX::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
     SB.createCall(SignalFn, {Gates, Ctx.getInt64(SegIdx), GPhi});
   }
 
-  // Privatize reductions (identity + lane store), as in DOALL.
-  IRBuilder ExitB(Ctx);
-  ExitB.setInsertPoint(Task.ExitBlock->getTerminator());
-  for (Instruction *Out : Env.getLiveOuts()) {
-    const ReductionVariable *R = nullptr;
-    for (const auto &Cand : RM.getReductions())
-      if (Out == Cand.Phi || Out == Cand.Update)
-        R = &Cand;
-    if (!R)
-      continue; // Segment live-outs are read from the spill slot.
-    auto *ClonedPhi = nir::cast<PhiInst>(Task.ValueMap[R->Phi]);
-    int Idx = ClonedPhi->getBlockIndex(TaskEntry);
-    ClonedPhi->setIncomingValue(static_cast<unsigned>(Idx),
-                                R->getIdentity(Ctx));
-    Value *Partial = Task.ValueMap[Out];
-    Value *Slot = ExitB.createGEP(
-        Task.EnvArg,
-        ExitB.createAdd(ExitB.getInt64(Layout.liveOutSlot(Out, 0)),
-                        Task.TaskIDArg, "lane"),
-        8, "out.slot");
-    ExitB.createStore(Partial, Slot);
-  }
+  // Privatize reductions (identity + lane store), as in DOALL. Segment
+  // live-outs are read from the spill slot.
+  for (Instruction *Out : Env.getLiveOuts())
+    if (const ReductionVariable *R = RM.getReductionForLiveOut(Out))
+      privatizeReduction(*R, Out, Layout, Task);
 
   // --- Caller side -----------------------------------------------------
-  // replaceLoopWithDispatch allocates only Layout.totalSlots(); HELIX
-  // needs the extra spill/gates slots, so emit the env alloca and
-  // initialization manually by widening the layout trick: temporarily
-  // borrow the helper then patch the alloca size.
-  BasicBlock *Dispatch =
-      replaceLoopWithDispatch(LS, Layout, Task.TaskFn, Workers);
-  auto *EnvAlloca = nir::cast<nir::AllocaInst>(Dispatch->front());
-  // Widen the environment array to include spill + gates slots.
-  auto *Widened = new nir::AllocaInst(
-      Ctx.getPtrTy(), Ctx.getArrayTy(Ctx.getInt64Ty(), TotalSlots));
-  Widened->setName("env");
-  Widened->insertBefore(EnvAlloca);
-  EnvAlloca->replaceAllUsesWith(Widened);
-  EnvAlloca->eraseFromParent();
-  Value *EnvV = Widened;
-
   // Initialize spill slots and gates before the dispatch call.
-  nir::Instruction *DispatchCall = nullptr;
-  for (auto &I : Dispatch->getInstList())
-    if (auto *C = nir::dyn_cast<nir::CallInst>(I.get()))
-      if (C->getCalledFunction() &&
-          C->getCalledFunction()->getName() == "noelle_dispatch")
-        DispatchCall = C;
-  assert(DispatchCall);
+  DispatchSite Site =
+      replaceLoopWithDispatch(LS, Layout, Task.TaskFn, Workers);
   IRBuilder CB(Ctx);
-  CB.setInsertPoint(DispatchCall);
+  CB.setInsertPoint(Site.Call);
   for (PhiInst *Phi : SpilledPhis) {
     Value *Init = nullptr;
     for (unsigned K = 0; K < Phi->getNumIncoming(); ++K)
       if (!LS.contains(Phi->getIncomingBlock(K)))
         Init = Phi->getIncomingValue(K);
     assert(Init && "recurrence phi lacks an entry value");
-    emitEnvStore(CB, EnvV, SpillSlot[Phi], Init);
+    emitEnvStore(CB, Site.Env, SpillSlot[Phi], Init);
   }
   nir::Function *SSCreate = M.getFunction("noelle_ss_create");
   Value *GatesV = CB.createCall(
       SSCreate, {Ctx.getInt64(static_cast<int64_t>(Segments.size()))},
       "gates");
-  emitEnvStore(CB, EnvV, GatesSlot, GatesV);
+  emitEnvStore(CB, Site.Env, GatesSlot, GatesV);
 
   // Live-outs after the dispatch.
-  CB.setInsertPoint(Dispatch->getTerminator());
+  CB.setInsertPoint(Site.Block->getTerminator());
   for (Instruction *Out : Env.getLiveOuts()) {
-    const ReductionVariable *R = nullptr;
-    for (const auto &Cand : RM.getReductions())
-      if (Out == Cand.Phi || Out == Cand.Update)
-        R = &Cand;
-    if (R) {
-      Value *Acc = nullptr;
-      for (unsigned Lane = 0; Lane < Workers; ++Lane) {
-        Value *Partial = emitEnvLoad(CB, EnvV, Layout.liveOutSlot(Out, Lane),
-                                     Out->getType(), "partial");
-        Acc = Acc ? ReductionManager::emitCombine(CB, R->Op, Acc, Partial)
-                  : Partial;
-      }
-      Value *Final =
-          ReductionManager::emitCombine(CB, R->Op, R->InitialValue, Acc);
-      Out->replaceAllUsesWith(Final);
+    if (const ReductionVariable *R = RM.getReductionForLiveOut(Out)) {
+      combineReductionLanes(CB, Site.Env, *R, Out, Layout);
       continue;
     }
     // Segment state: its final value lives in the spill slot.
@@ -542,18 +408,14 @@ bool HELIX::apply(LoopContent &LC, const LoopPlan &P, Decision &D) {
           StatePhi = Phi;
     }
     assert(StatePhi && "live-out admitted by computeSegments but untracked");
-    Value *Final = emitEnvLoad(CB, EnvV, SpillSlot.at(StatePhi),
+    Value *Final = emitEnvLoad(CB, Site.Env, SpillSlot.at(StatePhi),
                                Out->getType(), "state.final");
     Out->replaceAllUsesWith(Final);
   }
 
-  // finalizeLoopRemoval frees the loop's blocks, and LS reads its header
-  // to answer getFunction(): resolve the host function first.
-  nir::Function *HostF = LS.getFunction();
-  finalizeLoopRemoval(LS, Dispatch);
   // Only the host function changed (the task bodies are new functions
   // with no cached analyses): keep every other function's bundles.
-  N.invalidate(*HostF);
+  N.invalidate(*finalizeLoopRemoval(LS, Site.Block));
   assert(nir::moduleVerifies(M) && "HELIX produced invalid IR");
   D.Parallelized = true;
   D.Workers = Workers;

@@ -17,6 +17,79 @@ using nir::Module;
 using nir::PhiInst;
 using nir::Type;
 
+bool noelle::checkLoopShape(LoopContent &LC, bool HeaderExit,
+                            ExitTests Tests, std::string &Reason) {
+  nir::LoopStructure &LS = LC.getLoopStructure();
+  auto Fail = [&](const char *R) {
+    Reason = R;
+    return false;
+  };
+  if (!LS.getPreheader())
+    return Fail("no preheader");
+  if (LS.getExitBlocks().size() != 1 || LS.getExitingBlocks().size() != 1)
+    return Fail("multiple exits");
+  // The unique exit block must be reached only from the loop, so it can
+  // be retargeted to the dispatch code.
+  for (BasicBlock *Pred : LS.getExitBlocks()[0]->predecessors())
+    if (!LS.contains(Pred))
+      return Fail("exit block has non-loop predecessors");
+  BasicBlock *Exiting = LS.getExitingBlocks()[0];
+  if (HeaderExit && Exiting != LS.getHeader())
+    return Fail("loop is not in while form (header must be the exit)");
+
+  InductionVariableManager &IVs = LC.getIVManager();
+  InductionVariable *GIV = IVs.getGoverningIV();
+  if (!GIV || !GIV->hasConstantStep() || GIV->getConstantStep() == 0)
+    return Fail("no governing IV with a nonzero constant step");
+  // The governing branch must be the loop's only exit.
+  BranchInst *Br = GIV->getGoverningBranch();
+  if (Br->getParent() != Exiting)
+    return Fail("exit is not controlled by the governing IV");
+  bool TrueContinues = LS.contains(Br->getSuccessor(0));
+  if (Tests != ExitTests::Any)
+    switch (GIV->getGoverningCmp()->getPred()) {
+    case CmpInst::Pred::SLT:
+    case CmpInst::Pred::SLE:
+    case CmpInst::Pred::SGT:
+    case CmpInst::Pred::SGE:
+      break;
+    case CmpInst::Pred::NE:
+      // Counted "while (iv != bound)" form: true must continue the loop.
+      if (!TrueContinues)
+        return Fail("inverted != exit test");
+      break;
+    case CmpInst::Pred::EQ:
+      // Counted "if (iv == bound) exit" form: true must leave the loop.
+      if (Tests != ExitTests::OrderedOrEQ || TrueContinues)
+        return Fail("unsupported == exit test");
+      break;
+    default:
+      return Fail("unsupported governing comparison");
+    }
+  for (const auto &IV : IVs.getInductionVariables())
+    if (!IV->hasConstantStep())
+      return Fail("secondary IV with non-constant step");
+  return true;
+}
+
+uint64_t noelle::bodyWeight(const nir::LoopStructure &LS) {
+  uint64_t Weight = 0;
+  for (BasicBlock *BB : LS.getBlocks())
+    for (const auto &I : BB->getInstList())
+      if (!nir::isa<PhiInst>(I.get()) && !I->isTerminator())
+        ++Weight;
+  return Weight;
+}
+
+std::unordered_map<const Instruction *, uint64_t>
+noelle::numberInstructions(const Function &F) {
+  std::unordered_map<const Instruction *, uint64_t> Pos;
+  for (const auto &BB : F.getBlocks())
+    for (const auto &I : BB->getInstList())
+      Pos.emplace(I.get(), Pos.size());
+  return Pos;
+}
+
 Function *noelle::createTaskFunction(Module &M, const std::string &Name) {
   nir::Context &Ctx = M.getContext();
   Type *FnTy = Ctx.getFunctionTy(
@@ -106,6 +179,40 @@ void noelle::rebaseInductionVariables(InductionVariableManager &IVs,
   ClonedCmp->setPred(ClonedCmp->getPred() == CmpInst::Pred::NE
                          ? Continue
                          : CmpInst::getInversePred(Continue));
+}
+
+void noelle::privatizeReduction(const ReductionVariable &R, Instruction *Out,
+                                const EnvLayout &Layout,
+                                ClonedLoopTask &Task) {
+  nir::Context &Ctx = Task.TaskFn->getParent()->getContext();
+  auto *ClonedPhi = nir::cast<PhiInst>(Task.ValueMap[R.Phi]);
+  int Idx = ClonedPhi->getBlockIndex(&Task.TaskFn->getEntryBlock());
+  assert(Idx >= 0);
+  ClonedPhi->setIncomingValue(static_cast<unsigned>(Idx), R.getIdentity(Ctx));
+
+  IRBuilder B(Ctx);
+  B.setInsertPoint(Task.ExitBlock->getTerminator());
+  Value *Slot = B.createGEP(
+      Task.EnvArg,
+      B.createAdd(B.getInt64(Layout.liveOutSlot(Out, 0)), Task.TaskIDArg,
+                  "lane"),
+      8, "out.slot");
+  B.createStore(Task.ValueMap[Out], Slot);
+}
+
+void noelle::combineReductionLanes(IRBuilder &B, Value *Env,
+                                   const ReductionVariable &R,
+                                   Instruction *Out, const EnvLayout &Layout) {
+  Value *Acc = nullptr;
+  for (unsigned Lane = 0; Lane < Layout.Lanes; ++Lane) {
+    Value *Partial = emitEnvLoad(B, Env, Layout.liveOutSlot(Out, Lane),
+                                 Out->getType(), "partial");
+    Acc = Acc ? ReductionManager::emitCombine(B, R.Op, Acc, Partial)
+              : Partial;
+  }
+  // Fold in the value the accumulator had before the loop.
+  Out->replaceAllUsesWith(
+      ReductionManager::emitCombine(B, R.Op, R.InitialValue, Acc));
 }
 
 ClonedLoopTask noelle::cloneLoopIntoTask(nir::LoopStructure &LS,
@@ -199,12 +306,12 @@ ClonedLoopTask noelle::cloneLoopIntoTask(nir::LoopStructure &LS,
   return Out;
 }
 
-BasicBlock *noelle::replaceLoopWithDispatch(nir::LoopStructure &LS,
-                                            const EnvLayout &Layout,
-                                            Function *TaskFn,
-                                            unsigned NumTasks,
-                                            unsigned ChunkGrain,
-                                            Function *SpecSeqFn) {
+DispatchSite noelle::replaceLoopWithDispatch(nir::LoopStructure &LS,
+                                             const EnvLayout &Layout,
+                                             Function *TaskFn,
+                                             unsigned NumTasks,
+                                             unsigned ChunkGrain,
+                                             Function *SpecSeqFn) {
   Function *F = LS.getFunction();
   Module &M = *F->getParent();
   nir::Context &Ctx = M.getContext();
@@ -221,28 +328,27 @@ BasicBlock *noelle::replaceLoopWithDispatch(nir::LoopStructure &LS,
   BasicBlock *Dispatch = F->insertBlock(std::move(DispatchOwned), nullptr);
 
   IRBuilder B(Ctx, Dispatch);
-  Value *Env = B.createAlloca(
+  DispatchSite Site;
+  Site.Block = Dispatch;
+  Site.Env = B.createAlloca(
       Ctx.getArrayTy(Ctx.getInt64Ty(), Layout.totalSlots()), "env");
   for (Value *V : Layout.Env->getLiveIns())
-    emitEnvStore(B, Env, Layout.liveInSlot(V), V);
+    emitEnvStore(B, Site.Env, Layout.liveInSlot(V), V);
 
-  if (SpecSeqFn) {
-    Function *DispatchFn = M.getFunction("noelle_dispatch_spec");
-    B.createCall(DispatchFn,
-                 {TaskFn, SpecSeqFn, Env,
-                  Ctx.getInt64(static_cast<int64_t>(NumTasks)),
-                  Ctx.getInt64(static_cast<int64_t>(
-                      ChunkGrain > 0 ? ChunkGrain : 1))});
-  } else if (ChunkGrain > 0) {
-    Function *DispatchFn = M.getFunction("noelle_dispatch_chunked");
-    B.createCall(DispatchFn,
-                 {TaskFn, Env, Ctx.getInt64(static_cast<int64_t>(NumTasks)),
-                  Ctx.getInt64(static_cast<int64_t>(ChunkGrain))});
-  } else {
-    Function *DispatchFn = M.getFunction("noelle_dispatch");
-    B.createCall(DispatchFn,
-                 {TaskFn, Env, Ctx.getInt64(static_cast<int64_t>(NumTasks))});
-  }
+  Value *Tasks = Ctx.getInt64(static_cast<int64_t>(NumTasks));
+  if (SpecSeqFn)
+    Site.Call = B.createCall(
+        M.getFunction("noelle_dispatch_spec"),
+        {TaskFn, SpecSeqFn, Site.Env, Tasks,
+         Ctx.getInt64(static_cast<int64_t>(ChunkGrain > 0 ? ChunkGrain : 1))});
+  else if (ChunkGrain > 0)
+    Site.Call = B.createCall(
+        M.getFunction("noelle_dispatch_chunked"),
+        {TaskFn, Site.Env, Tasks,
+         Ctx.getInt64(static_cast<int64_t>(ChunkGrain))});
+  else
+    Site.Call = B.createCall(M.getFunction("noelle_dispatch"),
+                             {TaskFn, Site.Env, Tasks});
   B.createBr(Exit);
 
   // Rewire the preheader.
@@ -251,11 +357,11 @@ BasicBlock *noelle::replaceLoopWithDispatch(nir::LoopStructure &LS,
     if (PHBr->getSuccessor(S) == LS.getHeader())
       PHBr->setSuccessor(S, Dispatch);
 
-  return Dispatch;
+  return Site;
 }
 
-void noelle::finalizeLoopRemoval(nir::LoopStructure &LS,
-                                 BasicBlock *Dispatch) {
+Function *noelle::finalizeLoopRemoval(nir::LoopStructure &LS,
+                                      BasicBlock *Dispatch) {
   assert(LS.getExitBlocks().size() == 1);
   BasicBlock *Exit = LS.getExitBlocks()[0];
   Function *F = LS.getFunction();
@@ -276,4 +382,5 @@ void noelle::finalizeLoopRemoval(nir::LoopStructure &LS,
   }
 
   nir::removeUnreachableBlocks(*F);
+  return F;
 }

@@ -2,9 +2,11 @@
 ///
 /// \file
 /// Shared machinery of the parallelizing custom tools (DOALL, HELIX,
-/// DSWP): loop-to-task extraction with environment marshalling, the ENV
-/// array layout, and caller-side loop replacement. This is the code the
-/// paper's parallelizers build from the T/ENV/LB abstractions.
+/// DSWP): the loop shape they all require, loop-to-task extraction with
+/// environment marshalling, the ENV array layout, IV re-basing,
+/// reduction privatization, and caller-side loop replacement. This is
+/// the code the paper's parallelizers build from the T/ENV/LB/IVS/RD
+/// abstractions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +33,16 @@ struct ClonedLoopTask {
 };
 
 /// Environment array layout used by all parallelizers:
-///   slots [0 .. numLiveIns)                      live-in values
-///   slots [numLiveIns .. numLiveIns+K*killanes)  per-task live-out lanes
-/// where each live-out owns `Lanes` consecutive slots.
+///   slots [0 .. numLiveIns)                        live-in values
+///   slots [numLiveIns .. numLiveIns+K*Lanes)       per-task live-out lanes
+///   slots [numLiveIns+K*Lanes .. +ExtraSlots)      technique-owned slots
+/// where each of the K live-outs owns `Lanes` consecutive slots.
 struct EnvLayout {
   const Environment *Env = nullptr;
   unsigned Lanes = 1; ///< one lane per task for privatized live-outs
+  /// Slots after the live-out lanes that a technique owns (HELIX's spill
+  /// slots and gates pointer, DSWP's queue handles).
+  unsigned ExtraSlots = 0;
 
   unsigned liveInSlot(const Value *V) const {
     int Idx = Env->indexOfLiveIn(V);
@@ -49,11 +55,39 @@ struct EnvLayout {
     return static_cast<unsigned>(Env->getLiveIns().size()) +
            static_cast<unsigned>(Idx) * Lanes + Lane;
   }
-  unsigned totalSlots() const {
+  /// Slot \p K of the technique-owned slots.
+  unsigned extraSlot(unsigned K) const {
     return static_cast<unsigned>(Env->getLiveIns().size()) +
-           static_cast<unsigned>(Env->getLiveOuts().size()) * Lanes;
+           static_cast<unsigned>(Env->getLiveOuts().size()) * Lanes + K;
   }
+  unsigned totalSlots() const { return extraSlot(ExtraSlots); }
 };
+
+/// The governing exit tests a technique accepts.
+enum class ExitTests : uint8_t {
+  Any,        ///< DSWP: every stage replicates the exit test as it is
+  Ordered,    ///< slt/sle/sgt/sge, or "while (iv != bound)" (HELIX)
+  OrderedOrEQ ///< also "if (iv == bound) exit" (DOALL)
+};
+
+/// The loop shape DOALL, HELIX and DSWP share: a preheader; one exit
+/// block, reached only from the loop, and one exiting block, which must
+/// be the header when \p HeaderExit; a governing IV with a nonzero
+/// constant step whose branch is in the exiting block and whose exit
+/// test is one of \p Tests; and a constant step on every IV (each is
+/// re-based or replicated per task). Returns false and sets \p Reason
+/// otherwise.
+bool checkLoopShape(LoopContent &LC, bool HeaderExit, ExitTests Tests,
+                    std::string &Reason);
+
+/// The executable work of one iteration of \p LS: its non-phi,
+/// non-terminator instructions (Legality::BodyWeight).
+uint64_t bodyWeight(const nir::LoopStructure &LS);
+
+/// The program-order (block-major) position of every instruction of
+/// \p F, numbered in one walk.
+std::unordered_map<const Instruction *, uint64_t>
+numberInstructions(const nir::Function &F);
 
 /// Creates an empty task function `Name`(ptr env, i64 taskID,
 /// i64 numTasks) -> void with an entry block.
@@ -82,15 +116,36 @@ ClonedLoopTask cloneLoopIntoTask(nir::LoopStructure &LS,
 void rebaseInductionVariables(InductionVariableManager &IVs,
                               ClonedLoopTask &Task, unsigned Workers);
 
+/// Privatizes reduction \p R, carried by live-out \p Out, in \p Task
+/// (DOALL, HELIX): the cloned accumulator starts at the operator
+/// identity, and the task stores its partial result into lane
+/// liveOutSlot(Out, 0) + taskID at its exit.
+void privatizeReduction(const ReductionVariable &R, Instruction *Out,
+                        const EnvLayout &Layout, ClonedLoopTask &Task);
+
+/// At \p B, after the dispatch: loads the Layout.Lanes partial results
+/// of reduction \p R's live-out \p Out from \p Env, combines them, folds
+/// in the accumulator's initial value, and replaces every use of \p Out
+/// with the result.
+void combineReductionLanes(nir::IRBuilder &B, Value *Env,
+                           const ReductionVariable &R, Instruction *Out,
+                           const EnvLayout &Layout);
+
+/// The caller side of a loop replaced by a dispatch.
+struct DispatchSite {
+  nir::BasicBlock *Block = nullptr; ///< the dispatch block
+  Value *Env = nullptr;             ///< the environment array
+  nir::CallInst *Call = nullptr;    ///< the noelle_dispatch* call
+};
+
 /// Emits caller-side code that replaces loop \p LS with:
-///   env = alloca [slots x i64]; store live-ins;
+///   env = alloca [Layout.totalSlots() x i64]; store live-ins;
 ///   call noelle_dispatch(@task, env, NumTasks);
-/// in a new "dispatch" block, rewires the preheader to it and the
-/// dispatch block to the loop's unique exit block, and removes the now
-/// unreachable loop body. Returns the dispatch block positioned before
-/// its terminator so callers can append live-out reads via the builder.
-/// Exit-block phis fed only by the removed loop are folded. The loop
-/// must have a preheader and exactly one exit block.
+/// in a new "dispatch" block, and rewires the preheader to it and the
+/// dispatch block to the loop's unique exit block. Callers fill their
+/// extra slots before the call and read live-outs before the block's
+/// terminator, then call finalizeLoopRemoval. The loop must have a
+/// preheader and exactly one exit block.
 ///
 /// When \p ChunkGrain > 0 the call is emitted against
 /// noelle_dispatch_chunked(@task, env, NumTasks, ChunkGrain) instead:
@@ -102,17 +157,18 @@ void rebaseInductionVariables(InductionVariableManager &IVs,
 /// noelle_dispatch_spec(@task, @seq, env, NumTasks, ChunkGrain) runs
 /// the instrumented task under write-log journals and falls back to
 /// \p SpecSeqFn (the uninstrumented sequential clone) on conflict.
-nir::BasicBlock *replaceLoopWithDispatch(nir::LoopStructure &LS,
-                                         const EnvLayout &Layout,
-                                         nir::Function *TaskFn,
-                                         unsigned NumTasks,
-                                         unsigned ChunkGrain = 0,
-                                         nir::Function *SpecSeqFn = nullptr);
+DispatchSite replaceLoopWithDispatch(nir::LoopStructure &LS,
+                                     const EnvLayout &Layout,
+                                     nir::Function *TaskFn, unsigned NumTasks,
+                                     unsigned ChunkGrain = 0,
+                                     nir::Function *SpecSeqFn = nullptr);
 
 /// After live-out uses have been rewritten, patches phis in the loop's
 /// exit block (the dispatch block contributes the substituted value) and
-/// deletes the now-unreachable loop body.
-void finalizeLoopRemoval(nir::LoopStructure &LS, nir::BasicBlock *Dispatch);
+/// deletes the now-unreachable loop body. Returns the host function,
+/// which \p LS can no longer answer: it reads its freed header.
+nir::Function *finalizeLoopRemoval(nir::LoopStructure &LS,
+                                   nir::BasicBlock *Dispatch);
 
 /// Stores \p V into environment slot \p Slot (env base pointer \p Env)
 /// at the builder's insertion point.

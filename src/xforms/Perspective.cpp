@@ -39,13 +39,7 @@ std::vector<PerspectivePlan> Perspective::planAll() {
       if (!From || !To || !LS.contains(From) || !LS.contains(To))
         continue;
       SCC *SF = Dag.sccOf(From);
-      bool Handled = false;
-      for (const auto &IV : IVs.getInductionVariables())
-        if (IV->getSCC() == SF || SF->contains(IV->getPhi()))
-          Handled = true;
-      if (RM.getReductionFor(SF))
-        Handled = true;
-      if (Handled)
+      if (IVs.isIVSCC(SF) || RM.getReductionFor(SF))
         continue;
 
       Remedy R;

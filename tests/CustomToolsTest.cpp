@@ -519,8 +519,7 @@ TEST(BaselineTest, ConservativeParallelizerRejectsWhileLoops) {
   )";
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, Src);
-  baselines::ConservativeParallelizer Tool(*M);
-  for (const auto &D : Tool.run()) {
+  for (const auto &D : baselines::runConservativeParallelizer(*M)) {
     EXPECT_FALSE(D.Parallelized);
     EXPECT_NE(D.Reason.find("do-while"), std::string::npos);
   }

@@ -1,10 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// NOELLE's induction-variable abstractions (IV + IVS): SCC-based
-/// detection that works on any loop shape (the paper's §4.3 contrast with
-/// LLVM's do-while-only detection) and identification of the governing
-/// IV. The stepper that re-bases IVs per task (IVS) is
+/// NOELLE's induction-variable abstraction (IV): SCC-based detection
+/// that works on any loop shape (the paper's §4.3 contrast with LLVM's
+/// do-while-only detection) and identification of the governing IV. The
+/// IV stepper (IVS) that re-bases IVs per task is
 /// rebaseInductionVariables in xforms/ParallelizationUtils.h.
 ///
 //===----------------------------------------------------------------------===//

@@ -41,7 +41,8 @@ public:
 
   /// The reduction whose accumulator \p Out is (its phi or its update),
   /// or null: how a live-out is matched to the reduction it carries.
-  const ReductionVariable *getReductionForLiveOut(const Instruction *Out) const;
+  const ReductionVariable *
+  getReductionForLiveOut(const Instruction *Out) const;
 
   /// Emits code combining two partial accumulator values with the
   /// reduction operator at the builder's insertion point.
